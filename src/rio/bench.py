@@ -156,6 +156,9 @@ def bench_camera(mode: str, resolution: str = "vga", link: str | LinkConfig = "l
         width, height = RESOLUTIONS[resolution]
     else:
         width, height = (int(v) for v in resolution.split("x", 1))
+    if mode == "stream" and n_frames <= warmup + 1:
+        raise ValueError(f"{n_frames} frames leave no interval to time after the "
+                         f"{warmup}-frame warmup; need at least {warmup + 2}")
     config = _resolve_link(link)
     fmt = FrameFormat(width, height)
     # Acks share the direction with frame data, so budget for the whole
@@ -177,10 +180,13 @@ def bench_camera(mode: str, resolution: str = "vga", link: str | LinkConfig = "l
                 idx = await handle.ioctl(FRAME_DQ)
                 assert idx >= 0, f"dequeue failed: {idx}"
                 times.append(world.now())
-            span_ms = times[-1] - times[warmup]
-            return (len(times) - 1 - warmup) * 1000.0 / span_ms
+            return times[-1] - times[warmup]
 
-        fps = world.run(stream())
+        span_ms = world.run(stream())
+        if span_ms <= 0:
+            raise ValueError("frames took 0 ms of simulated time after warmup, so fps "
+                             "is unbounded; the link needs latency or finite throughput")
+        fps = (n_frames - 1 - warmup) * 1000.0 / span_ms
         return Row(_link_name(link), f"mode=stream;res={width}x{height}", "fps",
                    fps, world.stats.round_trips, world.stats.bytes_on_wire)
 

@@ -405,6 +405,8 @@ class ClientSession:
     # -- page access (shadow regions) -------------------------------------------------
 
     async def ensure_page(self, region_id: int, page: int, write: bool) -> None:
+        if self.live and self.dsm.ready(region_id, page, write):
+            return  # already permitted: no coherence traffic, no waiter
         while True:
             if not self.live:
                 raise DisconnectedError(detail="session closed")

@@ -24,10 +24,9 @@ Reference devices:
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .kernel import Future, Kernel
 
@@ -42,6 +41,8 @@ ECONNRESET = 104
 POLLIN = 0x001
 POLLOUT = 0x004
 POLLERR = 0x008
+
+OP_LOG_MAX = 1024  # most recent (op, desc id) entries each device keeps
 
 # ---------------------------------------------------------------------------
 # ioctl command numbers: | dir:2 | size:14 | type:8 | nr:8 |
@@ -172,7 +173,8 @@ class Device:
 
     def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.op_log: list[tuple] = []  # (op name, desc id) history for audits
+        # Recent (op name, desc id) history for audits; the oldest drop off.
+        self.op_log: deque[tuple] = deque(maxlen=OP_LOG_MAX)
 
     def log(self, op: str, desc: Optional[Descriptor]) -> None:
         self.op_log.append((op, desc.desc_id if desc else None))
@@ -407,11 +409,25 @@ class AudioDevice(Device):
         return mask
 
 
+def _ramp(first: int, nbytes: int) -> bytes:
+    """``nbytes`` bytes where byte i is (first + 7*i) % 256.
+
+    The sequence repeats every 256 bytes, so one 256-byte period is built
+    and tiled.
+    """
+    if nbytes <= 0:
+        return b""
+    period = bytes((first + 7 * i) & 0xFF for i in range(256))
+    reps, rest = divmod(nbytes, 256)
+    return period * reps + period[:rest]
+
+
 def mic_frames(first_frame: int, count: int, frame_bytes: int) -> bytes:
-    """Deterministic capture data: byte j of the stream is (j * 7 + 3) % 256."""
-    start = first_frame * frame_bytes
-    idx = np.arange(start, start + count * frame_bytes, dtype=np.int64)
-    return ((idx * 7 + 3) % 256).astype(np.uint8).tobytes()
+    """Deterministic capture data: byte j of the stream is (j * 7 + 3) % 256.
+
+    The stream has a 256-byte period.
+    """
+    return _ramp(first_frame * frame_bytes * 7 + 3, count * frame_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +458,11 @@ FRAME_CAPTURE = io(ord("V"), 4)      # arg = global buffer id
 
 
 def frame_pattern(frame_seq: int, nbytes: int) -> bytes:
-    """Test-pattern byte at offset i of frame k: (k*131 + i*7 + 23) % 256."""
-    idx = np.arange(nbytes, dtype=np.int64)
-    return ((frame_seq * 131 + idx * 7 + 23) % 256).astype(np.uint8).tobytes()
+    """Test-pattern byte at offset i of frame k: (k*131 + i*7 + 23) % 256.
+
+    Every frame has a 256-byte period.
+    """
+    return _ramp(frame_seq * 131 + 23, nbytes)
 
 
 class FrameSourceDevice(Device):

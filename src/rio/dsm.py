@@ -155,6 +155,26 @@ class SectionTracker:
             raise DsmError(f"page {page} still tracked at section granularity")
         unit["states"][page % SPLIT_UNIT_PAGES] = state
 
+    def set_range(self, first_page: int, npages: int, state: PageState) -> None:
+        """Set ``npages`` pages from ``first_page``: one slice per 2 MB unit.
+
+        Every unit the range touches must be page-tracked; otherwise
+        nothing changes and ``DsmError`` is raised.
+        """
+        if npages <= 0:
+            return
+        end = first_page + npages
+        units = range(self._unit_of(first_page), self._unit_of(end - 1) + 1)
+        for u in units:
+            if self._units[u]["kind"] != "pages":
+                page = max(first_page, u * SPLIT_UNIT_PAGES)
+                raise DsmError(f"page {page} still tracked at section granularity")
+        for u in units:
+            base = u * SPLIT_UNIT_PAGES
+            lo = max(first_page, base) - base
+            hi = min(end, base + SPLIT_UNIT_PAGES) - base
+            self._units[u]["states"][lo:hi] = [state] * (hi - lo)
+
     # -- split / coalesce -------------------------------------------------
 
     def split(self, first_page: int, npages: int) -> None:
@@ -290,6 +310,8 @@ class DsmNode:
         ``waiter`` will be called once the page state changes; the caller
         must then retry.
         """
+        if self.ready(region_id, page, write):
+            return True
         region = self.region(region_id)
         if not region.tracker.is_paged(page):
             raise DsmError(f"page {page} of region {region_id} not split for access")
@@ -299,13 +321,8 @@ class DsmNode:
             if waiter is not None:
                 pending.waiters.append(waiter)
             return False
-        state = region.tracker.get(page)
-        if state == PageState.READ_WRITE:
-            return True
-        if state == PageState.READ_ONLY:
-            if not write:
-                return True
-            # Claim ownership: revoke the peer's copy and take read-write.
+        if region.tracker.get(page) == PageState.READ_ONLY:
+            # A write: claim ownership, revoke the peer's copy, take read-write.
             region.tracker.set(page, PageState.READ_WRITE)
             self._set_dma(region, page, PageState.READ_WRITE)
             self.stats["invalidates_sent"] += 1
@@ -320,6 +337,15 @@ class DsmNode:
         self.stats["fetches"] += 1
         self.send(PageFetch(region_id, page, want_own))
         return False
+
+    def ready(self, region_id: int, page: int, write: bool) -> bool:
+        """True when ``access`` would return True with no state change:
+        the page is held read-write, or read-only for a read."""
+        region = self.region(region_id)
+        if (region_id, page) in self._pending or not region.tracker.is_paged(page):
+            return False
+        state = region.tracker.get(page)
+        return state == PageState.READ_WRITE or (state == PageState.READ_ONLY and not write)
 
     def local_write_done(self, region_id: int, page: int) -> None:
         region = self.region(region_id)
@@ -390,12 +416,15 @@ class DsmNode:
         # unconditionally, demoting even a crossed local claim to read-only
         # (an uncoordinated local write loses to the device's DMA).
         region = self.region(body.region)
+        pages = [page for page, _ in body.entries]
+        for first, npages in _runs(pages):
+            region.tracker.set_range(first, npages, PageState.READ_ONLY)
+            self._set_dma_range(region, first, npages, PageState.READ_ONLY)
+        epoch = region.epoch
         for page, data in body.entries:
             region.store.write_page(page, data)
-            region.epoch[page] += 1
-            region.tracker.set(page, PageState.READ_ONLY)
-            self._set_dma(region, page, PageState.READ_ONLY)
-            self.stats["installs"] += 1
+            epoch[page] += 1
+        self.stats["installs"] += len(pages)
 
     # -- DMA completions -------------------------------------------------------
 
@@ -411,25 +440,20 @@ class DsmNode:
         if length <= 0:
             return 0
         first = offset // PAGE_SIZE
-        last = (offset + length - 1) // PAGE_SIZE
-        pages = list(range(first, last + 1))
-        if pages and not region.tracker.is_paged(pages[0]):
-            raise DsmError("DMA into section-granularity range")
-        for page in pages:
-            region.epoch[page] += 1
-        if region.policy == Policy.INVALIDATE:
-            for page in pages:
-                region.tracker.set(page, PageState.READ_WRITE)
-                self._set_dma(region, page, PageState.READ_WRITE)
+        end = (offset + length - 1) // PAGE_SIZE + 1
+        pages = range(first, end)
+        invalidate = region.policy == Policy.INVALIDATE
+        state = PageState.READ_WRITE if invalidate else PageState.READ_ONLY
+        region.tracker.set_range(first, len(pages), state)  # DsmError if section-tracked
+        self._set_dma_range(region, first, len(pages), state)
+        region.epoch[first:end] = [e + 1 for e in region.epoch[first:end]]
+        if invalidate:
             self.stats["invalidates_sent"] += 1
-            self.send(PageInvalidate(region_id, pages))
+            self.send(PageInvalidate(region_id, list(pages)))
         else:
-            entries = [(page, region.store.read_page(page)) for page in pages]
-            for page in pages:
-                region.tracker.set(page, PageState.READ_ONLY)
-                self._set_dma(region, page, PageState.READ_ONLY)
+            read_page = region.store.read_page
             self.stats["pushes"] += 1
-            self.send(PageUpdateBatch(region_id, entries))
+            self.send(PageUpdateBatch(region_id, [(page, read_page(page)) for page in pages]))
         return len(pages)
 
     # -- helpers ----------------------------------------------------------------
@@ -438,8 +462,21 @@ class DsmNode:
         if region.dma_state is not None:
             region.dma_state[page] = state
 
+    def _set_dma_range(self, region: Region, first: int, npages: int, state: PageState) -> None:
+        if region.dma_state is not None:
+            region.dma_state[first : first + npages] = [state] * npages
+
     def quiescent(self) -> bool:
         return not self._pending
+
+
+def _runs(pages: list[int]):
+    """Split a page list into (first page, count) runs of consecutive pages."""
+    start = 0
+    for i in range(1, len(pages) + 1):
+        if i == len(pages) or pages[i] != pages[i - 1] + 1:
+            yield pages[start], i - start
+            start = i
 
 
 # ---------------------------------------------------------------------------

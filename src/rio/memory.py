@@ -25,6 +25,10 @@ class ByteArena:
     def read(self, addr: int, length: int) -> bytes:
         if length < 0 or addr < 0:
             raise ValueError("negative address or length")
+        idx, off = divmod(addr, PAGE_SIZE)
+        if off + length <= PAGE_SIZE:  # within one chunk
+            chunk = self._chunks.get(idx)
+            return bytes(length) if chunk is None else bytes(chunk[off : off + length])
         out = bytearray(length)
         pos = 0
         while pos < length:
@@ -40,8 +44,12 @@ class ByteArena:
     def write(self, addr: int, data: bytes) -> None:
         if addr < 0:
             raise ValueError("negative address")
-        pos = 0
         length = len(data)
+        idx, off = divmod(addr, PAGE_SIZE)
+        if 0 < length and off + length <= PAGE_SIZE:  # within one chunk
+            self._chunk(idx)[off : off + length] = data
+            return
+        pos = 0
         while pos < length:
             a = addr + pos
             idx, off = divmod(a, PAGE_SIZE)

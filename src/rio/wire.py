@@ -31,13 +31,13 @@ from enum import IntEnum
 from typing import Callable, Optional
 
 from .kernel import Kernel
+from .memory import PAGE_SIZE
 
 HEADER = struct.Struct(">IBBQQ")
 HEADER_SIZE = HEADER.size  # 22 bytes
 MAX_PAYLOAD = (1 << 32) - HEADER_SIZE - 1
 
 MEGABIT = float(1 << 20)  # bits per "Mbps" unit
-PAGE_SIZE = 4096
 
 
 class Channel(IntEnum):
@@ -137,7 +137,8 @@ def decode_frame(buf: bytes, offset: int = 0) -> tuple[Message, int]:
         raise ProtocolError(f"unknown kind/channel byte: {exc}") from None
     if KIND_CHANNEL[kind] != channel:
         raise ProtocolError(f"kind {kind!r} not valid on channel {channel!r}")
-    payload = bytes(buf[offset + HEADER_SIZE : offset + total])
+    with memoryview(buf) as view:  # one copy, from bytes or a bytearray alike
+        payload = bytes(view[offset + HEADER_SIZE : offset + total])
     return Message(session_id, seq, channel, kind, payload), total
 
 
@@ -354,7 +355,7 @@ class PageInvalidate:
 @dataclass
 class PageUpdateBatch:
     region: int
-    entries: list[tuple[int, bytes]]  # (page index, page bytes)
+    entries: list[tuple[int, bytes]]  # (page index, page bytes or a view of them)
 
     kind = Kind.PAGE_UPDATE_BATCH
 
@@ -367,13 +368,15 @@ class PageUpdateBatch:
 
     @classmethod
     def unpack(cls, payload: bytes) -> "PageUpdateBatch":
+        # Page bytes stay views of the payload; installing them is their copy.
         region, count = struct.unpack_from(">QH", payload, 0)
+        view = memoryview(payload)
         off = 10
         entries = []
         for _ in range(count):
             (page,) = struct.unpack_from(">I", payload, off)
             off += 4
-            entries.append((page, bytes(payload[off : off + PAGE_SIZE])))
+            entries.append((page, view[off : off + PAGE_SIZE]))
             off += PAGE_SIZE
         return cls(region, entries)
 

@@ -1,7 +1,9 @@
 """CLI surface: flags, CSV output, exit codes."""
 
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from rio.cli import run_cli
 
@@ -80,3 +82,27 @@ def test_bad_flags_nonzero_exit():
 def test_deterministic_csv_across_invocations():
     args = ["bench", "copy", "--mode", "optimized", "--seed", "9"]
     assert capture(args) == capture(args)
+
+
+def capture_both(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run_cli(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_camera_stream_on_instant_link_is_an_error_not_a_crash():
+    # Loopback has no latency and no throughput limit: every frame lands at 0 ms.
+    rc, out, err = capture_both(["bench", "camera", "--mode", "stream",
+                                 "--resolution", "1080p", "--link", "loopback",
+                                 "--frames", "60"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "0 ms" in err
+
+
+@pytest.mark.parametrize("frames", ["1", "50", "51"])
+def test_camera_stream_frames_within_warmup_is_an_error(frames):
+    rc, out, err = capture_both(["bench", "camera", "--mode", "stream",
+                                 "--frames", frames])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "warmup" in err

@@ -1,8 +1,13 @@
 """Reference devices driven directly (no stubs): contracts and timing."""
 
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
+
+import rio
 
 from rio.devices import (
     AUDIO_HEADER,
@@ -22,6 +27,7 @@ from rio.devices import (
     MODEM_SMS,
     MemoryContext,
     ModemDevice,
+    OP_LOG_MAX,
     POLLIN,
     SensorDevice,
     frame_pattern,
@@ -223,6 +229,34 @@ def test_frame_pattern_is_deterministic_function_of_seq_and_offset():
     assert a[17] == (3 * 131 + 17 * 7 + 23) % 256
 
 
+PATTERN_LENGTHS = (0, 1, 255, 256, 257, 4097, 614_400)
+
+
+@pytest.mark.parametrize("nbytes", PATTERN_LENGTHS)
+@pytest.mark.parametrize("seq", (0, 1, 2, 255, 256, 1_000_003, 2**63 + 5))
+def test_frame_pattern_matches_per_byte_definition(seq, nbytes):
+    want = bytes((seq * 131 + i * 7 + 23) % 256 for i in range(nbytes))
+    assert frame_pattern(seq, nbytes) == want
+
+
+@pytest.mark.parametrize("frame_bytes", range(1, 9))
+@pytest.mark.parametrize("first", (0, 1, 37, 2**40 + 11))
+def test_mic_frames_match_per_byte_definition(first, frame_bytes):
+    for count in sorted({n // frame_bytes for n in PATTERN_LENGTHS} | {1, 2}):
+        want = bytes(((first * frame_bytes + j) * 7 + 3) % 256
+                     for j in range(count * frame_bytes))
+        assert mic_frames(first, count, frame_bytes) == want
+
+
+def test_import_rio_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rio.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, rio, rio.bench, rio.cli, rio.devices; "
+            "sys.exit('numpy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_dequeue_without_mapping_is_einval():
     k = SimKernel()
     dev = FrameSourceDevice(k)
@@ -332,3 +366,21 @@ def test_release_then_reopen_is_always_legal():
         assert k.run(cycle())
         ops = [op for op, _ in dev.op_log]
         assert ops.count("open") == 2 and ops.count("release") == 2
+
+
+def test_op_log_keeps_only_the_most_recent_entries():
+    k = SimKernel()
+    dev = EchoDevice(k)
+    mem = DirectMem()
+    calls = OP_LOG_MAX + 100
+
+    async def main():
+        desc = await dev.open()
+        for _ in range(calls):
+            assert await dev.ioctl(desc, ECHO_XFORM, 0x1000, mem) == 0
+        return desc
+
+    desc = k.run(main())
+    assert desc.counter == calls
+    assert len(dev.op_log) == OP_LOG_MAX
+    assert list(dev.op_log) == [("xform", desc.desc_id)] * OP_LOG_MAX  # "open" fell off

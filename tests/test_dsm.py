@@ -309,3 +309,154 @@ def test_drop_region_wakes_waiters():
     pair.client.drop_region(1)
     assert woken == [1]
     assert pair.client.quiescent()
+
+
+# ---------------------------------------------------------------------------
+# Range transitions against the per-page reference
+# ---------------------------------------------------------------------------
+
+NPAGES_1080P = pages_for(1920 * 1080 * 2)
+
+
+def per_page_dma_complete(node, region_id, offset, length):
+    """DMA completion applied one page at a time (the reference algorithm)."""
+    region = node.region(region_id)
+    if length <= 0:
+        return 0
+    pages = list(range(offset // PAGE_SIZE, (offset + length - 1) // PAGE_SIZE + 1))
+    for page in pages:
+        region.epoch[page] += 1
+    if region.policy == Policy.INVALIDATE:
+        for page in pages:
+            region.tracker.set(page, RW)
+            node._set_dma(region, page, RW)
+        node.stats["invalidates_sent"] += 1
+        node.send(dsmmod.PageInvalidate(region_id, pages))
+    else:
+        entries = [(page, region.store.read_page(page)) for page in pages]
+        for page in pages:
+            region.tracker.set(page, RO)
+            node._set_dma(region, page, RO)
+        node.stats["pushes"] += 1
+        node.send(dsmmod.PageUpdateBatch(region_id, entries))
+    return len(pages)
+
+
+def per_page_on_batch(node, body):
+    region = node.region(body.region)
+    for page, data in body.entries:
+        region.store.write_page(page, data)
+        region.epoch[page] += 1
+        region.tracker.set(page, RO)
+        node._set_dma(region, page, RO)
+        node.stats["installs"] += 1
+
+
+def _scattered_node(side, policy, npages, sent):
+    """A node whose one region holds a mix of page states and page bytes."""
+    node = DsmNode(side, sent.append)
+    buf = bytearray(npages * PAGE_SIZE)
+    if side == DsmNode.SERVER:
+        for page in range(npages):
+            buf[page * PAGE_SIZE : page * PAGE_SIZE + 4] = page.to_bytes(4, "little")
+        region = make_server_region(1, 0, len(buf), BufferStore(buf), Origin.MAP_PAGE, policy)
+        region.tracker.split(0, npages)
+    else:
+        region = make_client_region(1, 0, len(buf), BufferStore(buf), Origin.MAP_PAGE, policy)
+    for page in range(npages):
+        state = (RW, RO, INV)[page * 7 % 3]
+        region.tracker.set(page, state)
+        node._set_dma(region, page, state)
+    node.register_region(region)
+    return node, buf
+
+
+def _node_state(node):
+    region = node.region(1)
+    return (region.tracker.snapshot(), region.dma_state, region.epoch, node.stats)
+
+
+DMA_RANGES = [
+    (0, 1920 * 1080 * 2),                                # the whole 1080p frame
+    (300 * PAGE_SIZE + 100, 400 * PAGE_SIZE),            # mid-unit across the 2 MB boundary
+    (SPLIT_UNIT_PAGES * PAGE_SIZE - 1, 2),               # one byte each side of it
+    (900 * PAGE_SIZE + 5, 113 * PAGE_SIZE - 5 - 17),     # into the partial tail unit
+    (7, 1),                                              # one byte
+    (SPLIT_UNIT_PAGES * PAGE_SIZE, 3 * PAGE_SIZE),       # starts at a unit boundary
+]
+
+
+@pytest.mark.parametrize("policy", [Policy.INVALIDATE, Policy.UPDATE_PUSH])
+def test_dma_range_transitions_equal_per_page_path(policy):
+    assert NPAGES_1080P == 1013  # spans a full 2 MB unit and a 501-page tail
+    sent, ref_sent = [], []
+    server, _ = _scattered_node(DsmNode.SERVER, policy, NPAGES_1080P, sent)
+    ref_server, _ = _scattered_node(DsmNode.SERVER, policy, NPAGES_1080P, ref_sent)
+    client, client_buf = _scattered_node(DsmNode.CLIENT, policy, NPAGES_1080P, [])
+    ref_client, ref_client_buf = _scattered_node(DsmNode.CLIENT, policy, NPAGES_1080P, [])
+    for offset, length in DMA_RANGES:
+        assert (server.dma_complete(1, offset, length)
+                == per_page_dma_complete(ref_server, 1, offset, length))
+        assert sent == ref_sent and len(sent) == 1
+        assert _node_state(server) == _node_state(ref_server)
+        body = sent.pop()
+        ref_sent.clear()
+        client.handle(body)
+        if isinstance(body, dsmmod.PageUpdateBatch):
+            per_page_on_batch(ref_client, body)
+        else:
+            ref_client.handle(body)
+        assert _node_state(client) == _node_state(ref_client)
+        assert client_buf == ref_client_buf
+
+
+def test_batch_with_scattered_pages_equals_per_page_path():
+    client, buf = _scattered_node(DsmNode.CLIENT, Policy.UPDATE_PUSH, NPAGES_1080P, [])
+    ref, ref_buf = _scattered_node(DsmNode.CLIENT, Policy.UPDATE_PUSH, NPAGES_1080P, [])
+    pages = [3, 4, 5, 9, 510, 511, 512, 513, 1012, 0]
+    body = dsmmod.PageUpdateBatch(1, [(p, bytes([p & 0xFF]) * PAGE_SIZE) for p in pages])
+    client.handle(body)
+    per_page_on_batch(ref, body)
+    assert _node_state(client) == _node_state(ref)
+    assert buf == ref_buf
+
+
+@pytest.mark.parametrize("policy", [Policy.INVALIDATE, Policy.UPDATE_PUSH])
+@pytest.mark.parametrize("first_page,npages", [
+    (SPLIT_UNIT_PAGES - 4, 8),        # paged unit into a sectioned one
+    (SPLIT_UNIT_PAGES + 10, 1),       # inside a sectioned unit
+])
+def test_dma_into_section_tracked_range_raises(policy, first_page, npages):
+    total = 2 * SPLIT_UNIT_PAGES + 10
+    sent = []
+    node = DsmNode(DsmNode.SERVER, sent.append)
+    region = make_server_region(1, 0, total * PAGE_SIZE,
+                                BufferStore(bytearray(total * PAGE_SIZE)),
+                                Origin.MAP_PAGE, policy)
+    region.tracker.split(0, 1)  # only the first 2 MB unit is page-tracked
+    node.register_region(region)
+    before = _node_state(node)
+    with pytest.raises(DsmError):
+        node.dma_complete(1, first_page * PAGE_SIZE, npages * PAGE_SIZE)
+    assert _node_state(node) == before and not sent  # nothing half-applied
+
+
+def test_set_range_rejects_pages_outside_region():
+    tracker = SectionTracker(10, sectioned=False, initial=RW)
+    with pytest.raises(DsmError):
+        tracker.set_range(8, 3, RO)
+    assert tracker.snapshot() == (("pages", (RW,) * 10),)
+
+
+def test_pushed_batch_installs_pages_a_crossed_local_claim_took():
+    pair = Pair(npages=4, policy=Policy.UPDATE_PUSH, client_init=RO, server_init=RO)
+    assert pair.client.access(1, 1, True)  # local claim: RO -> RW, invalidate queued
+    assert pair.states(1) == (RW, RO)
+    pair.server_buf[PAGE_SIZE : 2 * PAGE_SIZE] = b"D" * PAGE_SIZE
+    pair.server.dma_complete(1, 0, 3 * PAGE_SIZE)
+    (batch,) = pair.to_client
+    pair.client.handle(batch)  # the push crosses the claim on the wire
+    tracker = pair.client.region(1).tracker
+    assert [tracker.get(p) for p in range(4)] == [RO, RO, RO, RO]
+    assert pair.client_buf[PAGE_SIZE : 2 * PAGE_SIZE] == b"D" * PAGE_SIZE
+    assert pair.client.stats["installs"] == 3

@@ -168,6 +168,18 @@ def test_copy_and_page_codecs():
         assert decode_body(msg) == body
 
 
+def test_update_batch_decoded_from_a_reused_buffer_owns_its_pages():
+    pages = [(p, bytes([p]) * 4096) for p in (4, 5, 6)]
+    body = PageUpdateBatch(2, pages)
+    buf = bytearray(encode_frame(Message(1, 0, Channel.COHERENCE, body.kind, body.pack())))
+    msg, used = decode_frame(buf)
+    assert used == len(buf)
+    buf[:] = bytes(len(buf))  # the framer reuses its buffer after a decode
+    decoded = decode_body(msg)
+    assert decoded == body
+    assert [bytes(data) for _, data in decoded.entries] == [data for _, data in pages]
+
+
 # ---------------------------------------------------------------------------
 # Link configuration
 # ---------------------------------------------------------------------------
