@@ -37,6 +37,8 @@ from .kernel import Cancelled, Future, Kernel
 from .memory import PAGE_SIZE, Allocator, ByteArena
 from .server import GBUF_REGION_BASE
 from .wire import (
+    COHERENCE_KINDS,
+    KIND_CHANNEL,
     Channel,
     CleanupNotice,
     CopyDir,
@@ -263,15 +265,16 @@ class ClientSession:
 
     # -- transport ---------------------------------------------------------
 
-    def _send(self, channel: Channel, kind: Kind, body) -> int:
+    def _send(self, kind: Kind, body) -> int:
+        channel = KIND_CHANNEL[kind]
         seq = self._out_seq[channel]
-        self._out_seq[channel] += 1
+        self._out_seq[channel] = seq + 1
         self.endpoint.send(Message(self.session_id, seq, channel, kind,
                                    body.pack() if body is not None else b""))
         return seq
 
     def _send_coherence(self, body) -> None:
-        self._send(Channel.COHERENCE, body.kind, body)
+        self._send(body.kind, body)
 
     def on_message(self, msg: Message) -> None:
         if not self.live:
@@ -290,7 +293,9 @@ class ClientSession:
 
     def _dispatch_message(self, msg: Message) -> None:
         body = decode_body(msg)
-        if msg.kind == Kind.HEARTBEAT_ACK:
+        if msg.kind in COHERENCE_KINDS:
+            self.dsm.handle(body)
+        elif msg.kind == Kind.HEARTBEAT_ACK:
             sent = self._hb_sent.pop(body.echo_seq, None)
             if sent is not None:
                 self.estimator.update(self.kernel.now() - sent)
@@ -306,8 +311,6 @@ class ClientSession:
         elif msg.kind == Kind.OPEN_ACK:
             if self._open_queue:
                 self._open_queue.pop(0).set_result(body)
-        elif msg.channel == Channel.COHERENCE:
-            self.dsm.handle(body)
 
     def _serve_copy(self, body: CopyRequest) -> None:
         if body.direction == CopyDir.FROM_USER:
@@ -315,10 +318,10 @@ class ClientSession:
             self.coverage_misses += 1
             self.coverage_log.append((body.addr, body.length))
             data = self.client.arena.read(body.addr, body.length)
-            self._send(Channel.FILE_OP, Kind.COPY_RESPONSE, CopyResponse(body.op_id, data))
+            self._send(Kind.COPY_RESPONSE, CopyResponse(body.op_id, data))
         else:
             self.client.arena.write(body.addr, body.data)
-            self._send(Channel.FILE_OP, Kind.COPY_RESPONSE, CopyResponse(body.op_id, b""))
+            self._send(Kind.COPY_RESPONSE, CopyResponse(body.op_id, b""))
 
     # -- heartbeats ----------------------------------------------------------
 
@@ -330,7 +333,7 @@ class ClientSession:
                 if now - self._last_ack >= self.config.timeout_ms and self._beats >= 1:
                     self._declare_disconnect("heartbeat timeout")
                     return
-                seq = self._send(Channel.HEARTBEAT, Kind.HEARTBEAT, None)
+                seq = self._send(Kind.HEARTBEAT, None)
                 self._hb_sent[seq] = now
                 self._beats += 1
                 await self.kernel.sleep(interval)
@@ -363,7 +366,7 @@ class ClientSession:
         """Graceful teardown: tell the server, then drop local state."""
         if not self.live:
             return
-        self._send(Channel.CONTROL, Kind.CLEANUP, CleanupNotice(cause=2))
+        self._send(Kind.CLEANUP, CleanupNotice(cause=2))
         self.live = False
         for handle in self.handles:
             if handle.state is HandleState.CONNECTED:
@@ -379,7 +382,7 @@ class ClientSession:
             raise DisconnectedError(device_class)
         fut = Future(f"open-{device_class}")
         self._open_queue.append(fut)
-        self._send(Channel.CONTROL, Kind.OPEN, OpenRequest(device_class, flags))
+        self._send(Kind.OPEN, OpenRequest(device_class, flags))
         ack = await fut
         if not ack.ok:
             raise OpenError(device_class, ack.errno)
@@ -394,7 +397,7 @@ class ClientSession:
             raise DisconnectedError(detail="session closed")
         fut = Future(f"op-{req.op_id}")
         self._pending_ops[req.op_id] = fut
-        self._send(Channel.FILE_OP, Kind.FILE_OP_REQUEST, req)
+        self._send(Kind.FILE_OP_REQUEST, req)
         return await fut
 
     def next_op_id(self) -> int:

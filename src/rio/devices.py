@@ -31,6 +31,7 @@ from typing import Optional
 from .kernel import Future, Kernel
 
 # errno-style results (negative of these is returned by handlers)
+EIO = 5
 EAGAIN = 11
 EBADF = 9
 EINVAL = 22

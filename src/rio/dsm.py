@@ -38,6 +38,11 @@ class PageState(IntEnum):
     READ_WRITE = 2
 
 
+# Hot paths compare against these module names: reading a member off an
+# enum class goes through the enum metaclass and costs several times more.
+INVALID, READ_ONLY, READ_WRITE = PageState.INVALID, PageState.READ_ONLY, PageState.READ_WRITE
+
+
 class Policy(IntEnum):
     INVALIDATE = 0
     UPDATE_PUSH = 1
@@ -117,63 +122,62 @@ class SectionTracker:
     Tracking is organized in 2 MB units.  A full unit is either two 1 MB
     sections (one state each) or 512 individually tracked pages; a
     partial tail unit is always page-tracked.
+
+    ``states`` holds one state per page and ``paged`` one flag per unit.
+    Every page of a sectioned unit holds its section's state, so a lookup
+    is one index at either granularity.
     """
 
     def __init__(self, npages: int, sectioned: bool, initial: PageState) -> None:
         self.npages = npages
         self.map_count = [0] * npages
-        self._units: list[dict] = []
+        self.states: list[PageState] = [initial] * npages
         full_units, tail = divmod(npages, SPLIT_UNIT_PAGES)
-        for _ in range(full_units):
-            if sectioned:
-                self._units.append({"kind": "sections", "states": [initial, initial]})
-            else:
-                self._units.append({"kind": "pages", "states": [initial] * SPLIT_UNIT_PAGES})
-        if tail:
-            self._units.append({"kind": "pages", "states": [initial] * tail})
+        self.paged = [not sectioned] * full_units + [True] * (tail > 0)
 
     # -- unit helpers ----------------------------------------------------
 
-    def _unit_of(self, page: int) -> int:
-        if not 0 <= page < self.npages:
-            raise DsmError(f"page {page} outside region of {self.npages} pages")
-        return page // SPLIT_UNIT_PAGES
+    def _outside(self, page: int) -> DsmError:
+        return DsmError(f"page {page} outside region of {self.npages} pages")
+
+    def _unit_range(self, first_page: int, npages: int) -> range:
+        """The units a non-empty page range touches; both ends must exist."""
+        last = first_page + npages - 1
+        for page in (first_page, last):
+            if not 0 <= page < self.npages:
+                raise self._outside(page)
+        return range(first_page // SPLIT_UNIT_PAGES, last // SPLIT_UNIT_PAGES + 1)
 
     def is_paged(self, page: int) -> bool:
-        return self._units[self._unit_of(page)]["kind"] == "pages"
+        if not 0 <= page < self.npages:
+            raise self._outside(page)
+        return self.paged[page // SPLIT_UNIT_PAGES]
 
     def get(self, page: int) -> PageState:
-        unit = self._units[self._unit_of(page)]
-        off = page % SPLIT_UNIT_PAGES
-        if unit["kind"] == "pages":
-            return unit["states"][off]
-        return unit["states"][off // SECTION_PAGES]
+        if not 0 <= page < self.npages:
+            raise self._outside(page)
+        return self.states[page]
 
     def set(self, page: int, state: PageState) -> None:
-        unit = self._units[self._unit_of(page)]
-        if unit["kind"] != "pages":
+        if not 0 <= page < self.npages:
+            raise self._outside(page)
+        if not self.paged[page // SPLIT_UNIT_PAGES]:
             raise DsmError(f"page {page} still tracked at section granularity")
-        unit["states"][page % SPLIT_UNIT_PAGES] = state
+        self.states[page] = state
 
     def set_range(self, first_page: int, npages: int, state: PageState) -> None:
-        """Set ``npages`` pages from ``first_page``: one slice per 2 MB unit.
+        """Set ``npages`` pages from ``first_page`` in one slice.
 
         Every unit the range touches must be page-tracked; otherwise
         nothing changes and ``DsmError`` is raised.
         """
         if npages <= 0:
             return
-        end = first_page + npages
-        units = range(self._unit_of(first_page), self._unit_of(end - 1) + 1)
-        for u in units:
-            if self._units[u]["kind"] != "pages":
+        for u in self._unit_range(first_page, npages):
+            if not self.paged[u]:
                 page = max(first_page, u * SPLIT_UNIT_PAGES)
                 raise DsmError(f"page {page} still tracked at section granularity")
-        for u in units:
-            base = u * SPLIT_UNIT_PAGES
-            lo = max(first_page, base) - base
-            hi = min(end, base + SPLIT_UNIT_PAGES) - base
-            self._units[u]["states"][lo:hi] = [state] * (hi - lo)
+        self.states[first_page : first_page + npages] = [state] * npages
 
     # -- split / coalesce -------------------------------------------------
 
@@ -181,14 +185,8 @@ class SectionTracker:
         """Convert every 2 MB unit overlapping the range to page tracking."""
         if npages <= 0:
             return
-        for u in range(self._unit_of(first_page), self._unit_of(first_page + npages - 1) + 1):
-            unit = self._units[u]
-            if unit["kind"] == "sections":
-                s0, s1 = unit["states"]
-                self._units[u] = {
-                    "kind": "pages",
-                    "states": [s0] * SECTION_PAGES + [s1] * SECTION_PAGES,
-                }
+        for u in self._unit_range(first_page, npages):
+            self.paged[u] = True  # its pages already hold their section's state
 
     def coalesce(self, first_page: int, npages: int) -> None:
         """Stitch fully-unmapped 2 MB units in the range back into sections.
@@ -198,24 +196,29 @@ class SectionTracker:
         """
         if npages <= 0:
             return
-        for u in range(self._unit_of(first_page), self._unit_of(first_page + npages - 1) + 1):
-            unit = self._units[u]
-            if unit["kind"] != "pages" or len(unit["states"]) != SPLIT_UNIT_PAGES:
+        full_units = self.npages // SPLIT_UNIT_PAGES
+        for u in self._unit_range(first_page, npages):
+            if not self.paged[u] or u >= full_units:
                 continue
             base = u * SPLIT_UNIT_PAGES
-            if any(self.map_count[base + i] for i in range(SPLIT_UNIT_PAGES)):
+            if any(self.map_count[base : base + SPLIT_UNIT_PAGES]):
                 raise DsmError(f"unit {u} still has mapped pages")
-            states = unit["states"]
-            fold = lambda part: PageState(min(part))  # most restrictive wins
-            self._units[u] = {
-                "kind": "sections",
-                "states": [fold(states[:SECTION_PAGES]), fold(states[SECTION_PAGES:])],
-            }
+            for lo in (base, base + SECTION_PAGES):
+                # Each section takes its most restrictive page state.
+                fold = PageState(min(self.states[lo : lo + SECTION_PAGES]))
+                self.states[lo : lo + SECTION_PAGES] = [fold] * SECTION_PAGES
+            self.paged[u] = False
 
     def snapshot(self):
-        return tuple(
-            (unit["kind"], tuple(unit["states"])) for unit in self._units
-        )
+        units = []
+        for u, paged in enumerate(self.paged):
+            base = u * SPLIT_UNIT_PAGES
+            if paged:
+                units.append(("pages", tuple(self.states[base : base + SPLIT_UNIT_PAGES])))
+            else:
+                units.append(("sections",
+                              (self.states[base], self.states[base + SECTION_PAGES])))
+        return tuple(units)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +277,9 @@ class DsmNode:
         self.regions: dict[int, Region] = {}
         self._pending: dict[tuple[int, int], _Pending] = {}
         self.stats = {"fetches": 0, "invalidates_sent": 0, "pushes": 0, "installs": 0}
+        self._handlers = {PageFetch: self._on_fetch, PageData: self._on_data,
+                          PageInvalidate: self._on_invalidate,
+                          PageUpdateBatch: self._on_batch}
 
     # -- region lifecycle --------------------------------------------------
 
@@ -310,10 +316,9 @@ class DsmNode:
         ``waiter`` will be called once the page state changes; the caller
         must then retry.
         """
-        if self.ready(region_id, page, write):
-            return True
         region = self.region(region_id)
-        if not region.tracker.is_paged(page):
+        tracker = region.tracker
+        if not tracker.is_paged(page):
             raise DsmError(f"page {page} of region {region_id} not split for access")
         key = (region_id, page)
         pending = self._pending.get(key)
@@ -321,10 +326,13 @@ class DsmNode:
             if waiter is not None:
                 pending.waiters.append(waiter)
             return False
-        if region.tracker.get(page) == PageState.READ_ONLY:
+        state = tracker.states[page]
+        if state == READ_WRITE or (state == READ_ONLY and not write):
+            return True
+        if state == READ_ONLY:
             # A write: claim ownership, revoke the peer's copy, take read-write.
-            region.tracker.set(page, PageState.READ_WRITE)
-            self._set_dma(region, page, PageState.READ_WRITE)
+            tracker.set(page, READ_WRITE)
+            self._set_dma(region, page, READ_WRITE)
             self.stats["invalidates_sent"] += 1
             self.send(PageInvalidate(region_id, [page]))
             return True
@@ -341,11 +349,11 @@ class DsmNode:
     def ready(self, region_id: int, page: int, write: bool) -> bool:
         """True when ``access`` would return True with no state change:
         the page is held read-write, or read-only for a read."""
-        region = self.region(region_id)
-        if (region_id, page) in self._pending or not region.tracker.is_paged(page):
+        tracker = self.region(region_id).tracker
+        if (region_id, page) in self._pending or not tracker.is_paged(page):
             return False
-        state = region.tracker.get(page)
-        return state == PageState.READ_WRITE or (state == PageState.READ_ONLY and not write)
+        state = tracker.states[page]
+        return state == READ_WRITE or (state == READ_ONLY and not write)
 
     def local_write_done(self, region_id: int, page: int) -> None:
         region = self.region(region_id)
@@ -354,32 +362,26 @@ class DsmNode:
     # -- incoming coherence traffic -------------------------------------------
 
     def handle(self, body) -> None:
-        if isinstance(body, PageFetch):
-            self._on_fetch(body)
-        elif isinstance(body, PageData):
-            self._on_data(body)
-        elif isinstance(body, PageInvalidate):
-            self._on_invalidate(body)
-        elif isinstance(body, PageUpdateBatch):
-            self._on_batch(body)
-        else:
+        handler = self._handlers.get(type(body))
+        if handler is None:
             raise ProtocolFault(f"unexpected coherence body {body!r}")
+        handler(body)
 
     def _on_fetch(self, body: PageFetch) -> None:
         region = self.region(body.region)
         state = region.tracker.get(body.page)
-        if state == PageState.INVALID:
+        if state == INVALID:
             raise ProtocolFault(
                 f"peer fetched page {body.page} of region {body.region} "
                 f"which is invalid on both sides"
             )
         self.send(PageData(body.region, body.page, region.store.read_page(body.page)))
         if body.want_ownership:
-            region.tracker.set(body.page, PageState.INVALID)
-            self._set_dma(region, body.page, PageState.INVALID)
-        elif state == PageState.READ_WRITE:
-            region.tracker.set(body.page, PageState.READ_ONLY)
-            self._set_dma(region, body.page, PageState.READ_ONLY)
+            region.tracker.set(body.page, INVALID)
+            self._set_dma(region, body.page, INVALID)
+        elif state == READ_WRITE:
+            region.tracker.set(body.page, READ_ONLY)
+            self._set_dma(region, body.page, READ_ONLY)
 
     def _on_data(self, body: PageData) -> None:
         key = (body.region, body.page)
@@ -390,12 +392,9 @@ class DsmNode:
         region.store.write_page(body.page, body.data)
         region.epoch[body.page] += 1
         self.stats["installs"] += 1
-        if pending.want_ownership:
-            region.tracker.set(body.page, PageState.READ_WRITE)
-            self._set_dma(region, body.page, PageState.READ_WRITE)
-        else:
-            region.tracker.set(body.page, PageState.READ_ONLY)
-            self._set_dma(region, body.page, PageState.READ_ONLY)
+        state = READ_WRITE if pending.want_ownership else READ_ONLY
+        region.tracker.set(body.page, state)
+        self._set_dma(region, body.page, state)
         del self._pending[key]
         for wake in pending.waiters:
             wake()
@@ -404,12 +403,12 @@ class DsmNode:
         region = self.region(body.region)
         for page in body.pages:
             state = region.tracker.get(page)
-            if state == PageState.READ_WRITE and self.side == self.SERVER:
+            if state == READ_WRITE and self.side == self.SERVER:
                 # Crossed ownership claims: the server is the serialization
                 # point and wins; the client's claim is void.
                 continue
-            region.tracker.set(page, PageState.INVALID)
-            self._set_dma(region, page, PageState.INVALID)
+            region.tracker.set(page, INVALID)
+            self._set_dma(region, page, INVALID)
 
     def _on_batch(self, body: PageUpdateBatch) -> None:
         # Pushed updates come from the serialization point: they install
@@ -418,8 +417,8 @@ class DsmNode:
         region = self.region(body.region)
         pages = [page for page, _ in body.entries]
         for first, npages in _runs(pages):
-            region.tracker.set_range(first, npages, PageState.READ_ONLY)
-            self._set_dma_range(region, first, npages, PageState.READ_ONLY)
+            region.tracker.set_range(first, npages, READ_ONLY)
+            self._set_dma_range(region, first, npages, READ_ONLY)
         epoch = region.epoch
         for page, data in body.entries:
             region.store.write_page(page, data)
@@ -443,7 +442,7 @@ class DsmNode:
         end = (offset + length - 1) // PAGE_SIZE + 1
         pages = range(first, end)
         invalidate = region.policy == Policy.INVALIDATE
-        state = PageState.READ_WRITE if invalidate else PageState.READ_ONLY
+        state = READ_WRITE if invalidate else READ_ONLY
         region.tracker.set_range(first, len(pages), state)  # DsmError if section-tracked
         self._set_dma_range(region, first, len(pages), state)
         region.epoch[first:end] = [e + 1 for e in region.epoch[first:end]]

@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import dsm as dsmmod
-from .devices import Descriptor, Device, MemoryContext, RegionRef
+from .devices import EBADF, EINVAL, EIO, ENODEV, Descriptor, Device, MemoryContext, RegionRef
 from .errors import OpAborted, SessionClosed
 from .kernel import Cancelled, Future, Kernel, Lock
 from .memory import PAGE_SIZE
 from .wire import (
+    COHERENCE_KINDS,
+    KIND_CHANNEL,
     Channel,
     CopyDir,
     CopyRequest,
@@ -44,12 +46,6 @@ from .wire import (
 )
 
 log = logging.getLogger("rio.server")
-
-# errno mirrors (kept local to avoid importing the device table)
-_EBADF = 9
-_EINVAL = 22
-_ENODEV = 19
-_EIO = 5
 
 GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
 
@@ -146,18 +142,20 @@ class _OpContext:
 
 
 class _MappedPagesStore(dsmmod.PageStore):
-    """Region pages backed by the buffers a device handed to map_page."""
+    """Region pages backed by the buffers a device handed to map_page.
+
+    Each page is kept as a view of its buffer, so reading it is one copy;
+    a mapped buffer cannot be resized while its region exists.
+    """
 
     def __init__(self, sources: list[tuple[bytearray, int]]) -> None:
-        self.sources = sources  # per page: (buffer, offset)
+        self.pages = [memoryview(buf)[off : off + PAGE_SIZE] for buf, off in sources]
 
     def read_page(self, index: int) -> bytes:
-        buf, off = self.sources[index]
-        return bytes(buf[off : off + PAGE_SIZE])
+        return self.pages[index].tobytes()
 
     def write_page(self, index: int, data: bytes) -> None:
-        buf, off = self.sources[index]
-        buf[off : off + PAGE_SIZE] = data
+        self.pages[index][:] = data
 
 
 class ServerSession:
@@ -184,12 +182,9 @@ class ServerSession:
     # -- wiring ------------------------------------------------------------
 
     def _send(self, kind: Kind, body) -> float:
-        channel = {Kind.FILE_OP_RESPONSE: Channel.FILE_OP,
-                   Kind.COPY_REQUEST: Channel.FILE_OP,
-                   Kind.HEARTBEAT_ACK: Channel.HEARTBEAT,
-                   Kind.OPEN_ACK: Channel.CONTROL}.get(kind, Channel.COHERENCE)
+        channel = KIND_CHANNEL[kind]
         seq = self._out_seq[channel]
-        self._out_seq[channel] += 1
+        self._out_seq[channel] = seq + 1
         return self.endpoint.send(Message(self.session_id, seq, channel, kind,
                                           body.pack() if body is not None else b""))
 
@@ -213,15 +208,16 @@ class ServerSession:
             self.cleanup(CAUSE_LINK_DOWN)
 
     def _dispatch_message(self, msg: Message) -> None:
+        if msg.kind in COHERENCE_KINDS:
+            self.dsm.handle(decode_body(msg))
+            return
         if msg.channel == Channel.HEARTBEAT:
             self.last_heartbeat = self.kernel.now()
             if msg.kind == Kind.HEARTBEAT:
                 self._send(Kind.HEARTBEAT_ACK, HeartbeatAck(msg.seq))
             return
         body = decode_body(msg)
-        if msg.channel == Channel.COHERENCE:
-            self.dsm.handle(body)
-        elif msg.kind == Kind.OPEN:
+        if msg.kind == Kind.OPEN:
             self._spawn_worker(self._handle_open(body), "open")
         elif msg.kind == Kind.CLEANUP:
             self.cleanup(_CAUSE_BY_CODE.get(body.cause, CAUSE_CLIENT_CLOSE))
@@ -242,7 +238,7 @@ class ServerSession:
     async def _handle_open(self, body: OpenRequest) -> None:
         device = self.server.devices.get(body.device_class)
         if device is None:
-            self._send(Kind.OPEN_ACK, OpenAck(False, 0, _ENODEV))
+            self._send(Kind.OPEN_ACK, OpenAck(False, 0, ENODEV))
             return
         try:
             desc = await device.open(body.flags)
@@ -250,7 +246,7 @@ class ServerSession:
             raise
         except Exception:
             log.exception("open of %s failed", body.device_class)
-            self._send(Kind.OPEN_ACK, OpenAck(False, 0, _EIO))
+            self._send(Kind.OPEN_ACK, OpenAck(False, 0, EIO))
             return
         self.descs[desc.desc_id] = _DescEntry(device, desc, Lock(self.kernel))
         delivered = self._send(Kind.OPEN_ACK, OpenAck(True, desc.desc_id, 0))
@@ -260,7 +256,7 @@ class ServerSession:
         self.server.stats.ops += 1
         entry = self.descs.get(req.desc)
         if entry is None:
-            self._send(Kind.FILE_OP_RESPONSE, FileOpResponse(req.op_id, -_EBADF))
+            self._send(Kind.FILE_OP_RESPONSE, FileOpResponse(req.op_id, -EBADF))
             return
         ctx = _OpContext(req.op_id, req.desc, req.prefetch)
         self.live_ops[req.op_id] = ctx
@@ -275,12 +271,12 @@ class ServerSession:
             self.live_ops.pop(req.op_id, None)
             return
         except OpAborted:
-            result = -_EINVAL
+            result = -EINVAL
         except Exception:
             # A handler bug must not strand the caller until the
             # disconnect horizon; answer with an I/O error instead.
             log.exception("op %d (%s) raised", req.op_id, req.op.name)
-            result = -_EIO
+            result = -EIO
         batch = ctx.batch
         self.live_ops.pop(req.op_id, None)
         if self.cleaned:
@@ -306,7 +302,7 @@ class ServerSession:
         if req.op == FileOp.RELEASE:
             await self._release_descriptor(entry)
             return 0
-        return -_EINVAL
+        return -EINVAL
 
     async def _run_poll(self, entry: _DescEntry, req: FileOpRequest,
                         mem: MemoryContext) -> int:
@@ -324,12 +320,12 @@ class ServerSession:
             return result
         npages = dsmmod.pages_for(req.length)
         if len(ctx.mapped) != npages:
-            return -_EINVAL
+            return -EINVAL
         by_addr = sorted(ctx.mapped, key=lambda m: m[2])
         base = req.addr
         for i, (_, _, target_off) in enumerate(by_addr):
             if target_off != i * PAGE_SIZE:
-                return -_EINVAL
+                return -EINVAL
         store = _MappedPagesStore([(buf, off) for buf, off, _ in by_addr])
         policy = (self.config.dma_policy if entry.device.class_name == "framesource"
                   else dsmmod.Policy.INVALIDATE)
@@ -353,7 +349,7 @@ class ServerSession:
     async def _run_close_map(self, entry: _DescEntry, region_id: int) -> int:
         rec = self.regions.get(region_id)
         if rec is None:
-            return -_EINVAL
+            return -EINVAL
         await self._drop_region(entry, rec)
         return 0
 

@@ -11,6 +11,13 @@ is gap-free and strictly increasing per (session, channel) for each
 sender.  Each message kind is only valid on one channel; anything else is
 a protocol error and the session must be torn down.
 
+Where kind and channel are checked: once per received frame, in
+``decode_frame``, by one lookup of the kind byte in a 256-entry table of
+valid (kind, channel) pairs, which also turns the bytes into enum members.
+Senders never choose a channel: they derive it from the kind through
+``KIND_CHANNEL``.  The ``Message`` constructor checks the pair as well, by
+one ``KIND_CHANNEL`` lookup, so no ``Message`` holds a mismatched pair.
+
 Transports:
 
 * ``SimulatedLink`` -- a deterministic full-duplex link with configured
@@ -79,6 +86,12 @@ KIND_CHANNEL = {
     Kind.OPEN_ACK: Channel.CONTROL,
 }
 
+# The receive-side check: kind byte -> (Kind, Channel), or None if unknown.
+_FRAME_PAIRS = tuple((Kind(b), KIND_CHANNEL[b]) if b in KIND_CHANNEL else None
+                     for b in range(256))
+
+COHERENCE_KINDS = frozenset(k for k, c in KIND_CHANNEL.items() if c == Channel.COHERENCE)
+
 # Kinds that open a request/response pair on the file-operation channel.
 REQUEST_KINDS = (Kind.FILE_OP_REQUEST, Kind.COPY_REQUEST)
 RESPONSE_KINDS = (Kind.FILE_OP_RESPONSE, Kind.COPY_RESPONSE)
@@ -96,7 +109,7 @@ class EncodingError(Exception):
     """The message cannot be represented on the wire."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     session_id: int
     seq: int
@@ -105,7 +118,7 @@ class Message:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        if KIND_CHANNEL[Kind(self.kind)] != Channel(self.channel):
+        if KIND_CHANNEL.get(self.kind) != self.channel:
             raise ProtocolError(f"kind {self.kind!r} not valid on channel {self.channel!r}")
 
 
@@ -130,16 +143,12 @@ def decode_frame(buf: bytes, offset: int = 0) -> tuple[Message, int]:
         raise ProtocolError(f"frame length {total} below header size")
     if avail < total:
         raise NeedMoreBytes(f"{avail} bytes of a {total}-byte frame")
-    try:
-        kind = Kind(kind_b)
-        channel = Channel(chan_b)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown kind/channel byte: {exc}") from None
-    if KIND_CHANNEL[kind] != channel:
-        raise ProtocolError(f"kind {kind!r} not valid on channel {channel!r}")
+    pair = _FRAME_PAIRS[kind_b]
+    if pair is None or pair[1] != chan_b:
+        raise ProtocolError(f"kind byte {kind_b} not valid on channel byte {chan_b}")
     with memoryview(buf) as view:  # one copy, from bytes or a bytearray alike
         payload = bytes(view[offset + HEADER_SIZE : offset + total])
-    return Message(session_id, seq, channel, kind, payload), total
+    return Message(session_id, seq, pair[1], pair[0], payload), total
 
 
 class Framer:
@@ -316,6 +325,9 @@ class PageFetch:
         return cls(region, page, bool(own))
 
 
+_PAGE_DATA_HEAD = struct.Struct(">QI")
+
+
 @dataclass
 class PageData:
     region: int
@@ -325,12 +337,16 @@ class PageData:
     kind = Kind.PAGE_DATA
 
     def pack(self) -> bytes:
-        return struct.pack(">QI", self.region, self.page) + self.data
+        return _PAGE_DATA_HEAD.pack(self.region, self.page) + self.data
 
     @classmethod
     def unpack(cls, payload: bytes) -> "PageData":
-        region, page = struct.unpack_from(">QI", payload, 0)
-        return cls(region, page, bytes(payload[12:]))
+        # The page stays a view of the payload; installing it is its copy.
+        if len(payload) != _PAGE_DATA_HEAD.size + PAGE_SIZE:
+            raise ProtocolError(f"page data of {len(payload) - _PAGE_DATA_HEAD.size} "
+                                f"bytes, not one {PAGE_SIZE}-byte page")
+        region, page = _PAGE_DATA_HEAD.unpack_from(payload, 0)
+        return cls(region, page, memoryview(payload)[_PAGE_DATA_HEAD.size :])
 
 
 @dataclass
@@ -370,6 +386,9 @@ class PageUpdateBatch:
     def unpack(cls, payload: bytes) -> "PageUpdateBatch":
         # Page bytes stay views of the payload; installing them is their copy.
         region, count = struct.unpack_from(">QH", payload, 0)
+        if len(payload) != 10 + count * (4 + PAGE_SIZE):
+            raise ProtocolError(f"update batch of {len(payload)} bytes does not hold "
+                                f"exactly {count} {PAGE_SIZE}-byte pages")
         view = memoryview(payload)
         off = 10
         entries = []
@@ -608,13 +627,15 @@ class SimulatedLink:
         if self._cut_at is not None and now >= self._cut_at:
             self.stats.frames_dropped += 1
             return float("inf")
-        self.stats.bytes_on_wire += len(frame)
+        nbytes = len(frame)
+        self.stats.bytes_on_wire += nbytes
+        config = self.config
         depart = max(now, self._busy_until[direction])
-        arrival = depart + self.config.transfer_ms(len(frame)) + self.config.one_way_latency_ms
-        if self.config.jitter_ms and self._rng is not None:
-            arrival += self._rng.uniform(0.0, self.config.jitter_ms)
+        arrival = depart + config.transfer_ms(nbytes) + config.one_way_latency_ms
+        if config.jitter_ms and self._rng is not None:
+            arrival += self._rng.uniform(0.0, config.jitter_ms)
             arrival = max(arrival, self._busy_until[direction])
-        self._busy_until[direction] = arrival - self.config.one_way_latency_ms
+        self._busy_until[direction] = arrival - config.one_way_latency_ms
         receiver = self.b if direction == 0 else self.a
         self.kernel.call_at(arrival, self._deliver, receiver, frame)
         return arrival

@@ -135,7 +135,7 @@ class ModelWorld:
             fresh.stores[side].tags = list(self.stores[side].tags)
             src = self.nodes[side].region(1)
             dst = fresh.nodes[side].region(1)
-            dst.tracker._units[0]["states"] = list(src.tracker._units[0]["states"])
+            dst.tracker.states[:] = src.tracker.states
             if src.dma_state is not None:
                 dst.dma_state = list(src.dma_state)
             node = fresh.nodes[side]

@@ -15,7 +15,7 @@ from rio.bench import (
     bench_sensor,
 )
 from rio.devices import AUDIO_HEADER, AUDIO_XFER_OUT
-from rio.dsm import PageState, Policy, SectionTracker, SPLIT_UNIT_PAGES
+from rio.dsm import PageState, Policy, SECTION_PAGES, SectionTracker, SPLIT_UNIT_PAGES
 from rio.testbed import SimWorld
 from rio.wire import LinkConfig
 
@@ -143,9 +143,11 @@ def test_criterion_09_split_coalesce_round_trip():
         npages = units * SPLIT_UNIT_PAGES + tail
         tracker = SectionTracker(npages, sectioned=True, initial=PageState.READ_WRITE)
         for unit in range(units):
-            tracker._units[unit]["states"] = [
-                rng.choice([PageState.READ_WRITE, PageState.READ_ONLY,
-                            PageState.INVALID]) for _ in range(2)]
+            for half in range(2):
+                lo = unit * SPLIT_UNIT_PAGES + half * SECTION_PAGES
+                tracker.states[lo : lo + SECTION_PAGES] = [
+                    rng.choice([PageState.READ_WRITE, PageState.READ_ONLY,
+                                PageState.INVALID])] * SECTION_PAGES
         before = tracker.snapshot()
         lo = rng.randrange(npages)
         hi = rng.randrange(lo, npages)

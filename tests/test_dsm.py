@@ -234,6 +234,20 @@ def test_split_makes_512_tracked_pages_inheriting_state():
     assert all(s == RO for s in snapshot[0][1])
 
 
+def test_tracker_rejects_pages_outside_the_region_at_either_end():
+    npages = SPLIT_UNIT_PAGES + 3
+    tracker = SectionTracker(npages, sectioned=False, initial=RW)
+    for page in (-1, -npages, npages, npages + SPLIT_UNIT_PAGES):
+        for call in (lambda: tracker.get(page), lambda: tracker.is_paged(page),
+                     lambda: tracker.set(page, RO), lambda: tracker.set_range(page, 1, RO),
+                     lambda: tracker.split(page, 1), lambda: tracker.coalesce(page, 1)):
+            with pytest.raises(DsmError):
+                call()
+    with pytest.raises(DsmError):
+        tracker.set_range(npages - 1, 2, RO)
+    assert tracker.states == [RW] * npages
+
+
 def test_split_is_idempotent():
     tracker = SectionTracker(SPLIT_UNIT_PAGES, sectioned=True, initial=RW)
     tracker.split(0, 4)
@@ -278,7 +292,9 @@ def test_split_then_coalesce_restores_tracking(units, tail_pages, states,
     tracker = SectionTracker(npages, sectioned=True, initial=RW)
     # Randomize per-section states before any split.
     for u in range(units):
-        tracker._units[u]["states"] = [states[(2 * u) % 8], states[(2 * u + 1) % 8]]
+        for half in range(2):
+            lo = u * SPLIT_UNIT_PAGES + half * SECTION_PAGES
+            tracker.states[lo : lo + SECTION_PAGES] = [states[(2 * u + half) % 8]] * SECTION_PAGES
     before = tracker.snapshot()
     lo = int(lo_frac * (npages - 1))
     hi = int(hi_frac * (npages - 1))

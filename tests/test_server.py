@@ -410,7 +410,7 @@ def test_sequence_gap_tears_down_session():
         world.session._out_seq[Channel.FILE_OP] += 1
         from rio.wire import FileOp, FileOpRequest
         req = FileOpRequest(99, 1, FileOp.RELEASE)
-        world.session._send(Channel.FILE_OP, Kind.FILE_OP_REQUEST, req)
+        world.session._send(Kind.FILE_OP_REQUEST, req)
         await world.kernel.sleep(200)
 
     world.run(main())

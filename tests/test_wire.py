@@ -14,6 +14,7 @@ from rio.wire import (
     FileOpRequest,
     FileOpResponse,
     Framer,
+    HEADER,
     HEADER_SIZE,
     Kind,
     KIND_CHANNEL,
@@ -105,6 +106,36 @@ def test_kind_channel_mismatch_rejected():
         decode_frame(bytes(frame))
 
 
+def test_every_kind_channel_byte_pair_decodes_exactly_or_is_rejected():
+    payload = b"\x01\x02\x03"
+    accepted = 0
+    for kind_b in range(256):
+        for chan_b in range(256):
+            frame = HEADER.pack(HEADER_SIZE + len(payload), kind_b, chan_b, 77, 5) + payload
+            if KIND_CHANNEL.get(kind_b) == chan_b:
+                msg, used = decode_frame(frame)
+                assert used == len(frame)
+                assert msg == Message(77, 5, Channel(chan_b), Kind(kind_b), payload)
+                assert msg.kind is Kind(kind_b) and msg.channel is Channel(chan_b)
+                accepted += 1
+            else:
+                with pytest.raises(ProtocolError):
+                    decode_frame(frame)
+    assert accepted == len(KIND_CHANNEL) == len(Kind)
+
+
+def test_message_constructor_checks_every_pair():
+    for kind in Kind:
+        for channel in Channel:
+            if KIND_CHANNEL[kind] == channel:
+                assert Message(1, 0, channel, kind).kind is kind
+            else:
+                with pytest.raises(ProtocolError):
+                    Message(1, 0, channel, kind)
+    with pytest.raises(ProtocolError):
+        Message(1, 0, Channel.FILE_OP, 0)
+
+
 def test_two_concatenated_frames_decode_in_order():
     m1 = Message(1, 0, Channel.FILE_OP, Kind.FILE_OP_REQUEST, b"abc")
     m2 = heartbeat(seq=7)
@@ -178,6 +209,55 @@ def test_update_batch_decoded_from_a_reused_buffer_owns_its_pages():
     decoded = decode_body(msg)
     assert decoded == body
     assert [bytes(data) for _, data in decoded.entries] == [data for _, data in pages]
+
+
+def _page_body_cuts(entry_starts: list[int], end: int) -> list[int]:
+    """Lengths short of ``end``: every entry boundary, and cuts inside the
+    header and inside each page."""
+    cuts = set()
+    for start in entry_starts:
+        cuts.update({start, start + 1, start + 4, start + 100, start + 2048})
+    cuts.update({0, 1, 9, end - 100, end - 1})
+    return sorted(c for c in cuts if c < end)
+
+
+def _assert_rejected(kind: Kind, payload: bytes) -> None:
+    with pytest.raises(ProtocolError):
+        decode_body(Message(1, 0, KIND_CHANNEL[kind], kind, payload))
+
+
+def test_truncated_or_padded_page_data_is_a_protocol_error():
+    payload = PageData(5, 17, bytes(range(256)) * 16).pack()
+    assert decode_body(Message(1, 0, Channel.COHERENCE, Kind.PAGE_DATA, payload)).page == 17
+    for cut in _page_body_cuts([12], len(payload)):
+        _assert_rejected(Kind.PAGE_DATA, payload[:cut])
+    for extra in (b"\x00", bytes(4), bytes(4096)):
+        _assert_rejected(Kind.PAGE_DATA, payload + extra)
+
+
+def test_truncated_or_padded_update_batch_is_a_protocol_error():
+    pages = [(p, bytes([p]) * 4096) for p in (3, 4, 9)]
+    payload = PageUpdateBatch(2, pages).pack()
+    starts = [10 + i * (4 + 4096) for i in range(len(pages))]
+    assert len(payload) == 10 + 3 * 4100
+    assert decode_body(Message(1, 0, Channel.COHERENCE, Kind.PAGE_UPDATE_BATCH,
+                               payload)) == PageUpdateBatch(2, pages)
+    for cut in _page_body_cuts(starts, len(payload)):
+        _assert_rejected(Kind.PAGE_UPDATE_BATCH, payload[:cut])
+    for extra in (b"\x00", bytes(4), bytes(4100)):
+        _assert_rejected(Kind.PAGE_UPDATE_BATCH, payload + extra)
+
+
+def test_truncated_update_batch_installs_nothing_and_drops_the_session():
+    from rio.testbed import SimWorld
+
+    world = SimWorld("loopback")
+    session = world.session
+    payload = PageUpdateBatch(1, [(0, b"\xab" * 4096)]).pack()[:-100]
+    session.on_message(Message(1, 0, Channel.COHERENCE, Kind.PAGE_UPDATE_BATCH, payload))
+    world.advance(1.0)  # let the cancelled heartbeat task finish
+    assert not session.live
+    assert session.dsm.stats["installs"] == 0
 
 
 # ---------------------------------------------------------------------------
