@@ -75,10 +75,6 @@ def rows_to_csv(rows: list[Row]) -> str:
     return out.getvalue()
 
 
-def _resolve_link(link: str | LinkConfig) -> LinkConfig:
-    return link_preset(link) if isinstance(link, str) else link
-
-
 def _link_name(link: str | LinkConfig) -> str:
     return link if isinstance(link, str) else "custom"
 
@@ -110,7 +106,7 @@ def bench_audio(buffer_ms: float, link: str | LinkConfig = "lan", *,
         raise ValueError("buffer must be at least 3 ms")
     if direction not in ("out", "in"):
         raise ValueError("direction must be 'out' or 'in'")
-    config = _resolve_link(link)
+    config = link_preset(link)
     audio = AudioConfig(in_frame_bytes=1)
     frame_bytes = audio.out_frame_bytes if direction == "out" else audio.in_frame_bytes
     frames_per_seg = round(buffer_ms * audio.rate_hz / 1000.0)
@@ -159,7 +155,7 @@ def bench_camera(mode: str, resolution: str = "vga", link: str | LinkConfig = "l
     if mode == "stream" and n_frames <= warmup + 1:
         raise ValueError(f"{n_frames} frames leave no interval to time after the "
                          f"{warmup}-frame warmup; need at least {warmup + 2}")
-    config = _resolve_link(link)
+    config = link_preset(link)
     fmt = FrameFormat(width, height)
     # Acks share the direction with frame data, so budget for the whole
     # in-flight window (every buffer's batch queued back to back).
@@ -221,7 +217,7 @@ def bench_sensor(link: str | LinkConfig = "lan", n_samples: int = 200, *,
     """Mean poll+read cycle time in ms."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    world = SimWorld(_resolve_link(link), seed=seed, optimize=optimize)
+    world = SimWorld(link, seed=seed, optimize=optimize)
 
     async def drive():
         handle = await world.session.open("sensor")
@@ -252,7 +248,7 @@ def bench_modem(kind: str = "call", link: str | LinkConfig = "lan", *,
     kwargs = {}
     if carrier_delay_ms is not None:
         kwargs["call_delay_ms" if kind == "call" else "sms_delay_ms"] = carrier_delay_ms
-    world = SimWorld(_resolve_link(link), seed=seed, **kwargs)
+    world = SimWorld(link, seed=seed, **kwargs)
 
     async def drive():
         handle = await world.session.open("modem")
@@ -280,7 +276,7 @@ def bench_copy(mode: str = "optimized", link: str | LinkConfig = "lan", *,
     """File-op channel round trips for one echodev ioctl."""
     if mode not in ("optimized", "unoptimized"):
         raise ValueError("mode must be optimized|unoptimized")
-    world = SimWorld(_resolve_link(link), seed=seed, optimize=(mode == "optimized"))
+    world = SimWorld(link, seed=seed, optimize=(mode == "optimized"))
 
     async def drive():
         handle = await world.session.open("echodev")
@@ -316,7 +312,7 @@ def bench_disconnect(link: str | LinkConfig = "lan", *, seed: int = 0,
         for trial in range(trials):
             trial_seed = seed * 10_000 + trial
             try:
-                ok, note = _disconnect_trial(scenario, _resolve_link(link), trial_seed)
+                ok, note = _disconnect_trial(scenario, link, trial_seed)
             except Exception as exc:
                 ok, note = False, f"{type(exc).__name__}: {exc}"
             if not ok:
@@ -329,8 +325,8 @@ def bench_disconnect(link: str | LinkConfig = "lan", *, seed: int = 0,
     return rows
 
 
-def _disconnect_trial(scenario: str, config: LinkConfig, seed: int) -> tuple[bool, str]:
-    world = SimWorld(config, seed=seed)
+def _disconnect_trial(scenario: str, link: str | LinkConfig, seed: int) -> tuple[bool, str]:
+    world = SimWorld(link, seed=seed)
     cut_at = 30.0 + world.rng.random() * 1400.0
     client_timeout = world.client.config.timeout_ms
     server_timeout = world.server.config.timeout_ms

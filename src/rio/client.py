@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import logging
 import struct
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Awaitable, Callable, Optional
 
 from . import dsm as dsmmod
 from .devices import (
@@ -28,6 +29,7 @@ from .devices import (
     GBUF_ALLOC,
     IOC_WRITE,
     MemoryContext,
+    OP_LOG_MAX,
     ioc_dir,
     ioc_nr,
     ioc_size,
@@ -37,12 +39,9 @@ from .kernel import Cancelled, Future, Kernel
 from .memory import PAGE_SIZE, Allocator, ByteArena
 from .server import GBUF_REGION_BASE
 from .wire import (
-    COHERENCE_KINDS,
-    KIND_CHANNEL,
     Channel,
     CleanupNotice,
     CopyDir,
-    CopyRequest,
     CopyResponse,
     Endpoint,
     FileOp,
@@ -50,8 +49,9 @@ from .wire import (
     Kind,
     Message,
     OpenRequest,
+    Peer,
     PollMode,
-    ProtocolError,
+    SessionConfig,
     decode_body,
 )
 
@@ -67,15 +67,8 @@ class OpenError(RioError):
 
 
 @dataclass
-class ClientConfig:
-    heartbeat_interval_ms: float = 500.0
-    heartbeat_miss_limit: int = 3
-    optimize: bool = True
+class ClientConfig(SessionConfig):
     rtt_alpha: float = 0.125
-
-    @property
-    def timeout_ms(self) -> float:
-        return self.heartbeat_interval_ms * self.heartbeat_miss_limit
 
 
 class RttEstimator:
@@ -214,11 +207,6 @@ class Client:
         self.sessions.append(session)
         return session
 
-    async def open_remote(self, session: "ClientSession", device_class: str,
-                          flags: int = 0) -> "VirtualHandle":
-        """Open a device on an established session (see ClientSession.open)."""
-        return await session.open(device_class, flags)
-
     def alloc(self, length: int, align: int = PAGE_SIZE) -> int:
         return self.allocator.alloc(length, align)
 
@@ -238,81 +226,55 @@ class Client:
         return merged
 
 
-class ClientSession:
+class ClientSession(Peer):
     def __init__(self, client: Client, session_id: int, endpoint: Endpoint) -> None:
+        super().__init__(session_id, endpoint,
+                         dsmmod.DsmNode(dsmmod.DsmNode.CLIENT, self._send_coherence), {
+                             Kind.HEARTBEAT_ACK: self._on_heartbeat_ack,
+                             Kind.FILE_OP_RESPONSE: self._on_file_op_response,
+                             Kind.COPY_REQUEST: self._serve_copy,
+                             Kind.OPEN_ACK: self._on_open_ack,
+                         })
         self.client = client
         self.kernel = client.kernel
         self.config = client.config
-        self.session_id = session_id
-        self.endpoint = endpoint
         endpoint.on_message = self.on_message
-        self.live = True
         self.estimator = RttEstimator(self.config.rtt_alpha)
         self.handles: list[VirtualHandle] = []
         self.regions: dict[int, "MappedRegion"] = {}
-        self.dsm = dsmmod.DsmNode(dsmmod.DsmNode.CLIENT, self._send_coherence)
         self.coverage_misses = 0
-        self.coverage_log: list[tuple[int, int]] = []
-        self._pending_ops: dict[int, Future] = {}
+        self.coverage_log: deque[tuple[int, int]] = deque(maxlen=OP_LOG_MAX)
         self._open_queue: list[Future] = []
-        self._out_seq = {ch: 0 for ch in Channel}
-        self._in_seq = {ch: 0 for ch in Channel}
         self._next_op = 1
         self._hb_sent: dict[int, float] = {}
         self._last_ack = self.kernel.now()
         self._beats = 0
         self._hb_task = self.kernel.spawn(self._heartbeat_loop(), "hb-client")
 
-    # -- transport ---------------------------------------------------------
+    # -- inbound -----------------------------------------------------------
 
-    def _send(self, kind: Kind, body) -> int:
-        channel = KIND_CHANNEL[kind]
-        seq = self._out_seq[channel]
-        self._out_seq[channel] = seq + 1
-        self.endpoint.send(Message(self.session_id, seq, channel, kind,
-                                   body.pack() if body is not None else b""))
-        return seq
+    def _fault(self) -> None:
+        self._declare_disconnect("protocol error")
 
-    def _send_coherence(self, body) -> None:
-        self._send(body.kind, body)
+    def _on_heartbeat_ack(self, msg: Message) -> None:
+        sent = self._hb_sent.pop(decode_body(msg).echo_seq, None)
+        if sent is not None:
+            self.estimator.update(self.kernel.now() - sent)
+        self._last_ack = self.kernel.now()
 
-    def on_message(self, msg: Message) -> None:
-        if not self.live:
-            return
-        expected = self._in_seq[msg.channel]
-        if msg.seq != expected:
-            log.error("session %d: inbound seq gap on %s", self.session_id, msg.channel.name)
-            self._declare_disconnect("protocol error")
-            return
-        self._in_seq[msg.channel] = expected + 1
-        try:
-            self._dispatch_message(msg)
-        except (ProtocolError, dsmmod.ProtocolFault) as exc:
-            log.error("session %d: %s", self.session_id, exc)
-            self._declare_disconnect("protocol error")
-
-    def _dispatch_message(self, msg: Message) -> None:
+    def _on_file_op_response(self, msg: Message) -> None:
         body = decode_body(msg)
-        if msg.kind in COHERENCE_KINDS:
-            self.dsm.handle(body)
-        elif msg.kind == Kind.HEARTBEAT_ACK:
-            sent = self._hb_sent.pop(body.echo_seq, None)
-            if sent is not None:
-                self.estimator.update(self.kernel.now() - sent)
-            self._last_ack = self.kernel.now()
-        elif msg.kind == Kind.FILE_OP_RESPONSE:
-            fut = self._pending_ops.pop(body.op_id, None)
-            for addr, data in body.batch:
-                self.client.arena.write(addr, data)
-            if fut is not None:
-                fut.set_result(body)
-        elif msg.kind == Kind.COPY_REQUEST:
-            self._serve_copy(body)
-        elif msg.kind == Kind.OPEN_ACK:
-            if self._open_queue:
-                self._open_queue.pop(0).set_result(body)
+        for addr, data in body.batch:
+            self.client.arena.write(addr, data)
+        self._resolve(body.op_id, body)
 
-    def _serve_copy(self, body: CopyRequest) -> None:
+    def _on_open_ack(self, msg: Message) -> None:
+        body = decode_body(msg)
+        if self._open_queue:
+            self._open_queue.pop(0).set_result(body)
+
+    def _serve_copy(self, msg: Message) -> None:
+        body = decode_body(msg)
         if body.direction == CopyDir.FROM_USER:
             # The request's prefetch did not cover this range.
             self.coverage_misses += 1
@@ -333,8 +295,8 @@ class ClientSession:
                 if now - self._last_ack >= self.config.timeout_ms and self._beats >= 1:
                     self._declare_disconnect("heartbeat timeout")
                     return
-                seq = self._send(Kind.HEARTBEAT, None)
-                self._hb_sent[seq] = now
+                self._hb_sent[self._out_seq[Channel.HEARTBEAT]] = now
+                self._send(Kind.HEARTBEAT, None)
                 self._beats += 1
                 await self.kernel.sleep(interval)
         except Cancelled:
@@ -351,9 +313,7 @@ class ClientSession:
         # them to decide between local fallback and an error.
         for handle in self.handles:
             handle._on_disconnect()
-        for fut in list(self._pending_ops.values()):
-            fut.set_exception(DisconnectedError(detail=reason))
-        self._pending_ops.clear()
+        self._fail_pending(lambda: DisconnectedError(detail=reason))
         for fut in self._open_queue:
             fut.set_exception(DisconnectedError(detail=reason))
         self._open_queue.clear()
@@ -395,8 +355,7 @@ class ClientSession:
     async def request(self, req: FileOpRequest):
         if not self.live:
             raise DisconnectedError(detail="session closed")
-        fut = Future(f"op-{req.op_id}")
-        self._pending_ops[req.op_id] = fut
+        fut = self._expect(req.op_id)
         self._send(Kind.FILE_OP_REQUEST, req)
         return await fut
 
@@ -492,30 +451,38 @@ class VirtualHandle:
             self.state = HandleState.FAILED
         self.regions.clear()
 
-    async def _local(self):
-        device = self.client.local_devices[self.device_class]
-        if self._local_desc is None:
-            self._local_desc = await self.client.local_host.open(device)
-        return device, self._local_desc
-
     def _check_usable(self) -> None:
         if self.state is HandleState.CLOSED:
             raise RioError(f"handle {self.name} is closed")
         if self.state is HandleState.FAILED:
             raise DisconnectedError(self.device_class)
 
-    # -- operations -----------------------------------------------------------
-
-    async def ioctl(self, cmd: int, arg: int = 0) -> int:
+    async def _run(self, remote: Callable[[], Awaitable[int]],
+                   local: Callable[[Device, object], Awaitable[int]]) -> int:
+        """``remote()`` over the session; once the handle falls back,
+        ``local(device, desc)`` on the registered local twin instead."""
         self._check_usable()
         if self.state is HandleState.CONNECTED:
             try:
-                return await self._remote_ioctl(cmd, arg)
+                return await remote()
             except DisconnectedError:
                 if self.state is not HandleState.FALLING_BACK:
                     raise
-        device, desc = await self._local()
-        return await self.client.local_host.run(device, "ioctl", desc, cmd, arg)
+        device = self.client.local_devices[self.device_class]
+        if self._local_desc is None:
+            self._local_desc = await self.client.local_host.open(device)
+        return await local(device, self._local_desc)
+
+    async def _request(self, op: FileOp, **fields) -> int:
+        req = FileOpRequest(self.session.next_op_id(), self.desc, op, **fields)
+        return (await self.session.request(req)).result
+
+    # -- operations -----------------------------------------------------------
+
+    async def ioctl(self, cmd: int, arg: int = 0) -> int:
+        return await self._run(
+            lambda: self._remote_ioctl(cmd, arg),
+            lambda device, desc: self.client.local_host.run(device, "ioctl", desc, cmd, arg))
 
     async def _remote_ioctl(self, cmd: int, arg: int) -> int:
         prefetch = []
@@ -523,40 +490,22 @@ class VirtualHandle:
             ranges = prefetch_ranges(self.client.registry, self.device_class,
                                      cmd, arg, self.client.arena)
             prefetch = [(a, self.client.arena.read(a, n)) for a, n in ranges]
-        req = FileOpRequest(self.session.next_op_id(), self.desc, FileOp.IOCTL,
-                            addr=arg, cmd=cmd, prefetch=prefetch)
-        resp = await self.session.request(req)
-        return resp.result
+        return await self._request(FileOp.IOCTL, addr=arg, cmd=cmd, prefetch=prefetch)
 
     async def read(self, addr: int, length: int) -> int:
-        self._check_usable()
-        if self.state is HandleState.CONNECTED:
-            try:
-                req = FileOpRequest(self.session.next_op_id(), self.desc,
-                                    FileOp.READ, addr=addr, length=length)
-                resp = await self.session.request(req)
-                return resp.result
-            except DisconnectedError:
-                if self.state is not HandleState.FALLING_BACK:
-                    raise
-        device, desc = await self._local()
-        return await self.client.local_host.run(device, "read", desc, addr, length)
+        return await self._run(
+            lambda: self._request(FileOp.READ, addr=addr, length=length),
+            lambda device, desc: self.client.local_host.run(device, "read", desc, addr, length))
 
     async def write(self, addr: int, length: int) -> int:
-        self._check_usable()
-        if self.state is HandleState.CONNECTED:
-            try:
-                data = self.client.arena.read(addr, length)
-                req = FileOpRequest(self.session.next_op_id(), self.desc,
-                                    FileOp.WRITE, addr=addr, length=length,
-                                    prefetch=[(addr, data)] if length else [])
-                resp = await self.session.request(req)
-                return resp.result
-            except DisconnectedError:
-                if self.state is not HandleState.FALLING_BACK:
-                    raise
-        device, desc = await self._local()
-        return await self.client.local_host.run(device, "write", desc, addr, length)
+        return await self._run(
+            lambda: self._remote_write(addr, length),
+            lambda device, desc: self.client.local_host.run(device, "write", desc, addr, length))
+
+    async def _remote_write(self, addr: int, length: int) -> int:
+        data = self.client.arena.read(addr, length)
+        return await self._request(FileOp.WRITE, addr=addr, length=length,
+                                   prefetch=[(addr, data)] if length else [])
 
     async def poll(self, events: int, *, wait: bool = True,
                    timeout_ms: Optional[float] = None) -> int:
@@ -566,25 +515,20 @@ class VirtualHandle:
         the heartbeat RTT estimate so the caller's observed deadline stays
         close to the requested one.
         """
-        self._check_usable()
-        if self.state is HandleState.CONNECTED:
-            try:
-                if not wait:
-                    mode, budget = PollMode.NONBLOCKING, 0.0
-                elif timeout_ms is not None:
-                    mode = PollMode.TIMEOUT
-                    budget = max(0.0, timeout_ms - self.session.estimator.estimate_ms)
-                else:
-                    mode, budget = PollMode.BLOCKING, 0.0
-                req = FileOpRequest(self.session.next_op_id(), self.desc, FileOp.POLL,
-                                    events=events, mode=mode, budget_ms=budget)
-                resp = await self.session.request(req)
-                return resp.result
-            except DisconnectedError:
-                if self.state is not HandleState.FALLING_BACK:
-                    raise
-        device, desc = await self._local()
-        return await self.client.local_host.poll(device, desc, events, wait, timeout_ms)
+        return await self._run(
+            lambda: self._remote_poll(events, wait, timeout_ms),
+            lambda device, desc: self.client.local_host.poll(device, desc, events, wait,
+                                                             timeout_ms))
+
+    async def _remote_poll(self, events: int, wait: bool, timeout_ms: Optional[float]) -> int:
+        if not wait:
+            mode, budget = PollMode.NONBLOCKING, 0.0
+        elif timeout_ms is not None:
+            mode = PollMode.TIMEOUT
+            budget = max(0.0, timeout_ms - self.session.estimator.estimate_ms)
+        else:
+            mode, budget = PollMode.BLOCKING, 0.0
+        return await self._request(FileOp.POLL, events=events, mode=mode, budget_ms=budget)
 
     async def mmap(self, length: int, offset: int = 0) -> MappedRegion:
         self._check_usable()
@@ -592,26 +536,18 @@ class VirtualHandle:
             raise DisconnectedError(self.device_class, "mmap has no local fallback")
         npages = dsmmod.pages_for(length)
         base = self.client.alloc(npages * PAGE_SIZE, align=2 * 1024 * 1024)
-        req = FileOpRequest(self.session.next_op_id(), self.desc, FileOp.MMAP,
-                            addr=base, length=length, offset=offset)
-        resp = await self.session.request(req)
-        if resp.result < 0:
-            raise RioError(f"mmap failed: errno {-resp.result}")
-        region_id = resp.result
+        region_id = await self._request(FileOp.MMAP, addr=base, length=length, offset=offset)
+        if region_id < 0:
+            raise RioError(f"mmap failed: errno {-region_id}")
         region = dsmmod.make_client_region(
             region_id, base, length, dsmmod.ArenaStore(self.client.arena, base),
             dsmmod.Origin.MAP_PAGE, dsmmod.Policy.INVALIDATE)
         self.session.dsm.register_region(region)
-        mapped = MappedRegion(self.session, self, region_id, base, length)
-        self.session.regions[region_id] = mapped
-        self.regions.append(mapped)
-        return mapped
+        return self._add_region(region_id, base, length)
 
     async def _close_map(self, mapped: MappedRegion) -> None:
         if self.state is HandleState.CONNECTED:
-            req = FileOpRequest(self.session.next_op_id(), self.desc,
-                                FileOp.CLOSE_MAP, region=mapped.region_id)
-            await self.session.request(req)
+            await self._request(FileOp.CLOSE_MAP, region=mapped.region_id)
         self.session.dsm.drop_region(mapped.region_id)
         self.session.regions.pop(mapped.region_id, None)
         if mapped in self.regions:
@@ -638,10 +574,10 @@ class VirtualHandle:
         if result < 0:
             self.session.dsm.drop_region(region_id)
             raise RioError(f"global buffer allocation failed: errno {-result}")
-        return self._finish_gbuf(region_id, base, size)
+        return self._add_region(region_id, base, size)
 
-    def _finish_gbuf(self, region_id: int, base: int, size: int) -> MappedRegion:
-        mapped = MappedRegion(self.session, self, region_id, base, size)
+    def _add_region(self, region_id: int, base: int, length: int) -> MappedRegion:
+        mapped = MappedRegion(self.session, self, region_id, base, length)
         self.session.regions[region_id] = mapped
         self.regions.append(mapped)
         return mapped
@@ -650,9 +586,8 @@ class VirtualHandle:
         if self.state is HandleState.CONNECTED:
             for mapped in list(self.regions):
                 await mapped.unmap()
-            req = FileOpRequest(self.session.next_op_id(), self.desc, FileOp.RELEASE)
             try:
-                await self.session.request(req)
+                await self._request(FileOp.RELEASE)
             except DisconnectedError:
                 pass
         self.state = HandleState.CLOSED

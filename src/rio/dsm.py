@@ -26,7 +26,7 @@ from enum import IntEnum
 from typing import Callable, Optional
 
 from .memory import PAGE_SIZE, ByteArena
-from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch
+from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch, ProtocolError
 
 SECTION_PAGES = 256      # 1 MB
 SPLIT_UNIT_PAGES = 512   # 2 MB: one split covers two adjacent sections
@@ -57,7 +57,7 @@ class DsmError(Exception):
     pass
 
 
-class ProtocolFault(DsmError):
+class ProtocolFault(DsmError, ProtocolError):
     """Coherence traffic that violates the protocol; session is bad."""
 
 

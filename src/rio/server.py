@@ -17,18 +17,26 @@ round trip instead.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import dsm as dsmmod
-from .devices import EBADF, EINVAL, EIO, ENODEV, Descriptor, Device, MemoryContext, RegionRef
+from .devices import (
+    EBADF,
+    EINVAL,
+    EIO,
+    ENODEV,
+    OP_LOG_MAX,
+    Descriptor,
+    Device,
+    MemoryContext,
+    RegionRef,
+)
 from .errors import OpAborted, SessionClosed
-from .kernel import Cancelled, Future, Kernel, Lock
+from .kernel import Cancelled, Kernel, Lock
 from .memory import PAGE_SIZE
 from .wire import (
-    COHERENCE_KINDS,
-    KIND_CHANNEL,
-    Channel,
     CopyDir,
     CopyRequest,
     Endpoint,
@@ -40,8 +48,9 @@ from .wire import (
     Message,
     OpenAck,
     OpenRequest,
+    Peer,
     PollMode,
-    ProtocolError,
+    SessionConfig,
     decode_body,
 )
 
@@ -56,16 +65,9 @@ _CAUSE_BY_CODE = {0: CAUSE_LINK_DOWN, 1: CAUSE_HEARTBEAT_TIMEOUT, 2: CAUSE_CLIEN
 
 
 @dataclass
-class ServerConfig:
-    heartbeat_interval_ms: float = 500.0
-    heartbeat_miss_limit: int = 3
-    optimize: bool = True
+class ServerConfig(SessionConfig):
     dma_policy: dsmmod.Policy = dsmmod.Policy.UPDATE_PUSH  # framesource maps + global buffers
     copy_round_limit: int = 16  # per-op guard against pathological devices
-
-    @property
-    def timeout_ms(self) -> float:
-        return self.heartbeat_interval_ms * self.heartbeat_miss_limit
 
 
 @dataclass
@@ -74,7 +76,7 @@ class ServerStats:
     cache_misses: int = 0
     batch_bytes: int = 0
     ops: int = 0
-    cleanups: list = field(default_factory=list)
+    cleanups: deque = field(default_factory=lambda: deque(maxlen=OP_LOG_MAX))
 
 
 class Server:
@@ -85,17 +87,19 @@ class Server:
         self.kernel = kernel
         self.devices = devices
         self.config = config or ServerConfig()
-        self.sessions: dict[int, ServerSession] = {}
+        # Keyed by (endpoint, session id): clients number their sessions
+        # independently, so the id alone is unique only per endpoint.
+        self.sessions: dict[tuple[Endpoint, int], ServerSession] = {}
         self.stats = ServerStats()
 
     def attach(self, endpoint: Endpoint) -> None:
         endpoint.on_message = lambda msg, ep=endpoint: self._route(ep, msg)
 
     def _route(self, endpoint: Endpoint, msg: Message) -> None:
-        session = self.sessions.get(msg.session_id)
+        key = (endpoint, msg.session_id)
+        session = self.sessions.get(key)
         if session is None:
-            session = ServerSession(self, msg.session_id, endpoint)
-            self.sessions[msg.session_id] = session
+            session = self.sessions[key] = ServerSession(self, msg.session_id, endpoint)
         session.on_message(msg)
 
     def census(self) -> dict[str, int]:
@@ -106,7 +110,7 @@ class Server:
         for session in self.sessions.values():
             counts["descriptors"] += len(session.descs)
             counts["regions"] += len(session.regions)
-            counts["pending_copies"] += len(session.pending_copies)
+            counts["pending_copies"] += len(session.pending)
             counts["workers"] += len(session.workers)
             for ctx in session.live_ops.values():
                 counts["cache_entries"] += len(ctx.cache)
@@ -158,75 +162,50 @@ class _MappedPagesStore(dsmmod.PageStore):
         self.pages[index][:] = data
 
 
-class ServerSession:
+class ServerSession(Peer):
     def __init__(self, server: Server, session_id: int, endpoint: Endpoint) -> None:
+        super().__init__(session_id, endpoint,
+                         dsmmod.DsmNode(dsmmod.DsmNode.SERVER, self._send_coherence), {
+                             Kind.HEARTBEAT: self._on_heartbeat,
+                             Kind.OPEN: self._on_open,
+                             Kind.CLEANUP: self._on_cleanup,
+                             Kind.FILE_OP_REQUEST: self._on_file_op_request,
+                             Kind.COPY_RESPONSE: self._on_copy_response,
+                         })
         self.server = server
         self.kernel = server.kernel
         self.config = server.config
-        self.session_id = session_id
-        self.endpoint = endpoint
         self.descs: dict[int, _DescEntry] = {}
         self.regions: dict[int, _RegionRec] = {}
         self.live_ops: dict[int, _OpContext] = {}
-        self.pending_copies: dict[int, Future] = {}
         self.workers: dict = {}  # insertion-ordered set of live worker tasks
-        self.dsm = dsmmod.DsmNode(dsmmod.DsmNode.SERVER, self._send_coherence)
         self.last_heartbeat = self.kernel.now()
-        self.cleaned = False
-        self._out_seq = {ch: 0 for ch in Channel}
-        self._in_seq = {ch: 0 for ch in Channel}
         self._copy_id = 1 << 62
         self._region_id = 1
         self._watchdog = self.kernel.spawn(self._watch_liveness(), "hb-watchdog")
 
-    # -- wiring ------------------------------------------------------------
+    # -- inbound -----------------------------------------------------------
 
-    def _send(self, kind: Kind, body) -> float:
-        channel = KIND_CHANNEL[kind]
-        seq = self._out_seq[channel]
-        self._out_seq[channel] = seq + 1
-        return self.endpoint.send(Message(self.session_id, seq, channel, kind,
-                                          body.pack() if body is not None else b""))
+    def _fault(self) -> None:
+        self.cleanup(CAUSE_LINK_DOWN)
 
-    def _send_coherence(self, body) -> None:
-        self._send(body.kind, body)
+    def _on_heartbeat(self, msg: Message) -> None:
+        self.last_heartbeat = self.kernel.now()
+        self._send(Kind.HEARTBEAT_ACK, HeartbeatAck(msg.seq))
 
-    def on_message(self, msg: Message) -> None:
-        if self.cleaned:
-            return
-        expected = self._in_seq[msg.channel]
-        if msg.seq != expected:
-            log.error("session %d: seq gap on %s (%d != %d)",
-                      self.session_id, msg.channel.name, msg.seq, expected)
-            self.cleanup(CAUSE_LINK_DOWN)
-            return
-        self._in_seq[msg.channel] = expected + 1
-        try:
-            self._dispatch_message(msg)
-        except (ProtocolError, dsmmod.ProtocolFault) as exc:
-            log.error("session %d: %s", self.session_id, exc)
-            self.cleanup(CAUSE_LINK_DOWN)
+    def _on_open(self, msg: Message) -> None:
+        self._spawn_worker(self._handle_open(decode_body(msg)), "open")
 
-    def _dispatch_message(self, msg: Message) -> None:
-        if msg.kind in COHERENCE_KINDS:
-            self.dsm.handle(decode_body(msg))
-            return
-        if msg.channel == Channel.HEARTBEAT:
-            self.last_heartbeat = self.kernel.now()
-            if msg.kind == Kind.HEARTBEAT:
-                self._send(Kind.HEARTBEAT_ACK, HeartbeatAck(msg.seq))
-            return
+    def _on_cleanup(self, msg: Message) -> None:
+        self.cleanup(_CAUSE_BY_CODE.get(decode_body(msg).cause, CAUSE_CLIENT_CLOSE))
+
+    def _on_file_op_request(self, msg: Message) -> None:
         body = decode_body(msg)
-        if msg.kind == Kind.OPEN:
-            self._spawn_worker(self._handle_open(body), "open")
-        elif msg.kind == Kind.CLEANUP:
-            self.cleanup(_CAUSE_BY_CODE.get(body.cause, CAUSE_CLIENT_CLOSE))
-        elif msg.kind == Kind.FILE_OP_REQUEST:
-            self._spawn_worker(self._run_op(body), f"op-{body.op_id}")
-        elif msg.kind == Kind.COPY_RESPONSE:
-            fut = self.pending_copies.pop(body.op_id, None)
-            if fut is not None:
-                fut.set_result(body.data)
+        self._spawn_worker(self._run_op(body), f"op-{body.op_id}")
+
+    def _on_copy_response(self, msg: Message) -> None:
+        body = decode_body(msg)
+        self._resolve(body.op_id, body.data)
 
     def _spawn_worker(self, coro, name: str) -> None:
         task = self.kernel.spawn(coro, name)
@@ -279,7 +258,7 @@ class ServerSession:
             result = -EIO
         batch = ctx.batch
         self.live_ops.pop(req.op_id, None)
-        if self.cleaned:
+        if not self.live:
             return
         self.server.stats.batch_bytes += sum(len(d) for _, d in batch)
         delivered = self._send(Kind.FILE_OP_RESPONSE,
@@ -298,7 +277,7 @@ class ServerSession:
         if req.op == FileOp.MMAP:
             return await self._run_mmap(entry, req, ctx, mem)
         if req.op == FileOp.CLOSE_MAP:
-            return await self._run_close_map(entry, req.region)
+            return await self._run_close_map(req.region)
         if req.op == FileOp.RELEASE:
             await self._release_descriptor(entry)
             return 0
@@ -346,15 +325,17 @@ class ServerSession:
             attach(entry.desc, ref)
         return region_id
 
-    async def _run_close_map(self, entry: _DescEntry, region_id: int) -> int:
+    async def _run_close_map(self, region_id: int) -> int:
         rec = self.regions.get(region_id)
         if rec is None:
             return -EINVAL
-        await self._drop_region(entry, rec)
+        await self._drop_region(rec)
         return 0
 
-    async def _drop_region(self, entry: _DescEntry, rec: _RegionRec) -> None:
-        await entry.device.close_map(entry.desc, rec.ref)
+    async def _drop_region(self, rec: _RegionRec) -> None:
+        entry = self.descs.get(rec.desc_id)
+        if entry is not None:
+            await entry.device.close_map(entry.desc, rec.ref)
         region = self.dsm.regions.get(rec.region_id)
         if region is not None:
             for i in range(region.npages):
@@ -367,36 +348,31 @@ class ServerSession:
 
     async def _release_descriptor(self, entry: _DescEntry) -> None:
         for rec in [r for r in self.regions.values() if r.desc_id == entry.desc.desc_id]:
-            await self._drop_region(entry, rec)
+            await self._drop_region(rec)
         await entry.device.release(entry.desc)
         self.descs.pop(entry.desc.desc_id, None)
 
     # -- copy service ----------------------------------------------------------
 
     async def fetch_from_client(self, ctx: _OpContext, addr: int, length: int) -> bytes:
-        """One copy round trip for a cache miss (instrumented, bounded)."""
-        if ctx.rounds >= self.config.copy_round_limit:
-            raise OpAborted(f"op {ctx.op_id} exceeded {self.config.copy_round_limit} copy rounds")
-        ctx.rounds += 1
-        copy_id = self._copy_id
-        self._copy_id += 1
-        fut = Future(f"copy-{copy_id}")
-        self.pending_copies[copy_id] = fut
-        self._send(Kind.COPY_REQUEST, CopyRequest(copy_id, CopyDir.FROM_USER, addr, length))
-        return await fut
+        """A cache miss: read the range from client memory."""
+        return await self._copy_round(ctx, CopyDir.FROM_USER, addr, length)
 
     async def push_to_client(self, ctx: _OpContext, addr: int, data: bytes) -> None:
         """Unoptimized mode: flush one driver write as its own round trip."""
+        await self._copy_round(ctx, CopyDir.TO_USER, addr, len(data), data)
+
+    async def _copy_round(self, ctx: _OpContext, direction: CopyDir, addr: int, length: int,
+                          data: bytes = b"") -> bytes:
+        """One copy round trip to the client, at most ``copy_round_limit`` per op."""
         if ctx.rounds >= self.config.copy_round_limit:
             raise OpAborted(f"op {ctx.op_id} exceeded {self.config.copy_round_limit} copy rounds")
         ctx.rounds += 1
         copy_id = self._copy_id
         self._copy_id += 1
-        fut = Future(f"copy-{copy_id}")
-        self.pending_copies[copy_id] = fut
-        self._send(Kind.COPY_REQUEST,
-                   CopyRequest(copy_id, CopyDir.TO_USER, addr, len(data), data))
-        await fut
+        fut = self._expect(copy_id)
+        self._send(Kind.COPY_REQUEST, CopyRequest(copy_id, direction, addr, length, data))
+        return await fut
 
     # -- global buffers ----------------------------------------------------------
 
@@ -418,14 +394,14 @@ class ServerSession:
         return ref
 
     def _dma_complete(self, region_id: int, offset: int, length: int) -> None:
-        if not self.cleaned:
+        if self.live:
             self.dsm.dma_complete(region_id, offset, length)
 
     # -- liveness and cleanup ------------------------------------------------------
 
     async def _watch_liveness(self) -> None:
         interval = self.config.heartbeat_interval_ms
-        while not self.cleaned:
+        while self.live:
             await self.kernel.sleep(interval)
             silent = self.kernel.now() - self.last_heartbeat
             if silent > self.config.timeout_ms:
@@ -436,34 +412,23 @@ class ServerSession:
 
     def cleanup(self, cause: str) -> None:
         """Tear down every residual of this session.  Idempotent."""
-        if self.cleaned:
+        if not self.live:
             return
-        self.cleaned = True
+        self.live = False
         self.server.stats.cleanups.append((self.session_id, cause))
         for task in list(self.workers):
             task.cancel()
         self._watchdog.cancel()
-        for fut in self.pending_copies.values():
-            fut.set_exception(SessionClosed(f"cleanup: {cause}"))
-        self.pending_copies.clear()
+        self._fail_pending(lambda: SessionClosed(f"cleanup: {cause}"))
         self.kernel.spawn(self._cleanup_devices(), "cleanup")
 
     async def _cleanup_devices(self) -> None:
         # Mapped areas first, then descriptors, mirroring process teardown.
         for rec in list(self.regions.values()):
-            entry = self.descs.get(rec.desc_id)
-            if entry is not None:
-                try:
-                    await entry.device.close_map(entry.desc, rec.ref)
-                except Exception:
-                    log.exception("close_map during cleanup failed")
-            region = self.dsm.regions.get(rec.region_id)
-            if region is not None:
-                for i in range(region.npages):
-                    region.tracker.map_count[i] = 0
-                if region.origin == dsmmod.Origin.MAP_PAGE:
-                    region.tracker.coalesce(0, region.npages)
-            self.dsm.drop_region(rec.region_id)
+            try:
+                await self._drop_region(rec)
+            except Exception:
+                log.exception("dropping region %d during cleanup failed", rec.region_id)
         self.regions.clear()
         for entry in list(self.descs.values()):
             try:
@@ -472,7 +437,7 @@ class ServerSession:
                 log.exception("release during cleanup failed")
         self.descs.clear()
         self.live_ops.clear()
-        self.server.sessions.pop(self.session_id, None)
+        self.server.sessions.pop((self.endpoint, self.session_id), None)
         log.info("session %d: cleanup complete", self.session_id)
 
 

@@ -13,6 +13,7 @@ Tests, benchmarks and the demo scripts all drive scenarios through it:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Optional
 
@@ -34,14 +35,16 @@ LINK_PRESETS: dict[str, LinkConfig] = {
 }
 
 
-def link_preset(name: str) -> LinkConfig:
+def link_preset(link: str | LinkConfig) -> LinkConfig:
+    """A fresh copy of the named preset; a ``LinkConfig`` is returned as is."""
+    if isinstance(link, LinkConfig):
+        return link
     try:
-        preset = LINK_PRESETS[name]
+        preset = LINK_PRESETS[link]
     except KeyError:
-        raise ValueError(f"unknown link preset {name!r}; "
+        raise ValueError(f"unknown link preset {link!r}; "
                          f"choose from {sorted(LINK_PRESETS)}") from None
-    return LinkConfig(preset.one_way_latency_ms, preset.throughput_bps,
-                      preset.jitter_ms, preset.disconnect_at_ms)
+    return dataclasses.replace(preset)
 
 
 class SimWorld:
@@ -52,20 +55,18 @@ class SimWorld:
                  call_delay_ms: float = 7800.0, sms_delay_ms: float = 6200.0) -> None:
         self.kernel = SimKernel()
         self.rng = random.Random(seed)
-        self.link_config = link_preset(link) if isinstance(link, str) else link
+        self.link_config = link_preset(link)
         self.link = SimulatedLink(self.kernel, self.link_config, rng=self.rng)
         self.audio_config = audio or AudioConfig()
         self.devices = default_devices(
             self.kernel, sensor_cadence_ms=sensor_cadence_ms, audio=self.audio_config,
             call_delay_ms=call_delay_ms, sms_delay_ms=sms_delay_ms)
-        self.server = Server(self.kernel, self.devices, ServerConfig(
-            heartbeat_interval_ms=heartbeat_interval_ms,
-            heartbeat_miss_limit=heartbeat_miss_limit,
-            optimize=optimize, dma_policy=dsm_policy))
-        self.client = Client(self.kernel, ClientConfig(
-            heartbeat_interval_ms=heartbeat_interval_ms,
-            heartbeat_miss_limit=heartbeat_miss_limit, optimize=optimize),
-            registry=default_prefetch_registry(self.audio_config))
+        shared = {"heartbeat_interval_ms": heartbeat_interval_ms,
+                  "heartbeat_miss_limit": heartbeat_miss_limit, "optimize": optimize}
+        self.server = Server(self.kernel, self.devices,
+                             ServerConfig(**shared, dma_policy=dsm_policy))
+        self.client = Client(self.kernel, ClientConfig(**shared),
+                             registry=default_prefetch_registry(self.audio_config))
         self.server.attach(self.link.b)
         self.session: ClientSession = self.client.connect(self.link.a)
 
@@ -87,10 +88,9 @@ class SimWorld:
 
     def new_session(self, link: str | LinkConfig = None) -> ClientSession:
         """Open a fresh link + session against the same server."""
-        config = (self.link_config if link is None
-                  else (link_preset(link) if isinstance(link, str) else link))
-        fresh = SimulatedLink(self.kernel, LinkConfig(
-            config.one_way_latency_ms, config.throughput_bps, config.jitter_ms), rng=self.rng)
+        config = self.link_config if link is None else link_preset(link)
+        fresh = SimulatedLink(self.kernel, dataclasses.replace(config, disconnect_at_ms=None),
+                              rng=self.rng)
         self.server.attach(fresh.b)
         session = self.client.connect(fresh.a)
         self.last_link = fresh

@@ -18,6 +18,14 @@ Senders never choose a channel: they derive it from the kind through
 ``KIND_CHANNEL``.  The ``Message`` constructor checks the pair as well, by
 one ``KIND_CHANNEL`` lookup, so no ``Message`` holds a mismatched pair.
 
+Sessions: ``Peer`` is the session core of both stubs.  It numbers the
+frames it sends per channel, and tears the session down (``_fault``) on a
+sequence gap or on any ``ProtocolError`` while handling a frame: a bad
+payload, a coherence fault, or a kind missing from the side's handler
+table.  It also holds the session's DSM engine and its pending replies.
+The client stub adds heartbeats, requests and local failover; the server
+stub adds device dispatch, the copy service and residual cleanup.
+
 Transports:
 
 * ``SimulatedLink`` -- a deterministic full-duplex link with configured
@@ -32,12 +40,13 @@ megabits (2**20 bits) per second; 1 MB of payload means 10**6 bytes.
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Optional
 
-from .kernel import Kernel
+from .kernel import Future, Kernel
 from .memory import PAGE_SIZE
 
 HEADER = struct.Struct(">IBBQQ")
@@ -45,6 +54,8 @@ HEADER_SIZE = HEADER.size  # 22 bytes
 MAX_PAYLOAD = (1 << 32) - HEADER_SIZE - 1
 
 MEGABIT = float(1 << 20)  # bits per "Mbps" unit
+
+log = logging.getLogger("rio.wire")
 
 
 class Channel(IntEnum):
@@ -487,6 +498,96 @@ def decode_body(msg: Message):
         return cls.unpack(msg.payload)
     except (struct.error, ValueError, IndexError) as exc:
         raise ProtocolError(f"bad {msg.kind.name} payload: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Session core
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SessionConfig:
+    """Settings both stubs share: heartbeat cadence and copy optimization."""
+
+    heartbeat_interval_ms: float = 500.0
+    heartbeat_miss_limit: int = 3
+    optimize: bool = True
+
+    @property
+    def timeout_ms(self) -> float:
+        return self.heartbeat_interval_ms * self.heartbeat_miss_limit
+
+
+class Peer:
+    """One side of a session.  ``dsm`` is a ``DsmNode`` that sends through
+    ``_send_coherence``; ``handlers`` maps each non-coherence kind this side
+    receives to a method taking the message.  Subclasses define ``_fault``.
+    """
+
+    def __init__(self, session_id: int, endpoint: "Endpoint", dsm,
+                 handlers: dict[Kind, Callable[[Message], None]]) -> None:
+        self.session_id = session_id
+        self.endpoint = endpoint
+        self.dsm = dsm
+        self.live = True
+        self.pending: dict[int, Future] = {}
+        self._handlers = handlers
+        self._out_seq = {ch: 0 for ch in Channel}
+        self._in_seq = {ch: 0 for ch in Channel}
+
+    def _fault(self) -> None:
+        raise NotImplementedError
+
+    def _send(self, kind: Kind, body) -> float:
+        """Send ``body`` on its kind's channel; returns the delivery time."""
+        channel = KIND_CHANNEL[kind]
+        seq = self._out_seq[channel]
+        self._out_seq[channel] = seq + 1
+        return self.endpoint.send(Message(self.session_id, seq, channel, kind,
+                                          body.pack() if body is not None else b""))
+
+    def _send_coherence(self, body) -> None:
+        self._send(body.kind, body)
+
+    def on_message(self, msg: Message) -> None:
+        if not self.live:
+            return
+        expected = self._in_seq[msg.channel]
+        if msg.seq != expected:
+            log.error("%s session %d: seq gap on %s (%d != %d)", self.dsm.side,
+                      self.session_id, msg.channel.name, msg.seq, expected)
+            self._fault()
+            return
+        self._in_seq[msg.channel] = expected + 1
+        try:
+            self._dispatch_message(msg)
+        except ProtocolError as exc:
+            log.error("%s session %d: %s", self.dsm.side, self.session_id, exc)
+            self._fault()
+
+    def _dispatch_message(self, msg: Message) -> None:
+        if msg.kind in COHERENCE_KINDS:
+            self.dsm.handle(decode_body(msg))
+            return
+        handler = self._handlers.get(msg.kind)
+        if handler is None:
+            raise ProtocolError(f"{msg.kind.name} is not sent to the {self.dsm.side}")
+        handler(msg)
+
+    def _expect(self, key: int) -> Future:
+        """Register a pending reply; ``_resolve`` or ``_fail_pending`` ends it."""
+        fut = self.pending[key] = Future(f"reply-{key}")
+        return fut
+
+    def _resolve(self, key: int, value) -> None:
+        fut = self.pending.pop(key, None)
+        if fut is not None:
+            fut.set_result(value)
+
+    def _fail_pending(self, error: Callable[[], BaseException]) -> None:
+        for fut in list(self.pending.values()):
+            fut.set_exception(error())
+        self.pending.clear()
 
 
 # ---------------------------------------------------------------------------

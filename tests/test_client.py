@@ -445,18 +445,6 @@ def test_blocking_poll_returns_about_due_time_plus_half_rtt():
     assert 60.0 <= waited <= 65.0 + 4.4 * 2
 
 
-def test_open_remote_alias_matches_session_open():
-    world = SimWorld(link="lan")
-
-    async def main():
-        handle = await world.client.open_remote(world.session, "echodev")
-        return handle.device_class, handle.state
-
-    device_class, state = world.run(main())
-    assert device_class == "echodev"
-    assert state is HandleState.CONNECTED
-
-
 def test_mmap_length_mismatch_rejected():
     world = SimWorld(link="lan")
 

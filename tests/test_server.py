@@ -1,10 +1,12 @@
 """Server stub: dispatch, copy service, cleanup, liveness."""
 
+import logging
 import random
 import struct
 
 import pytest
 
+from rio.client import Client, ClientConfig
 from rio.devices import (
     AUDIO_HEADER,
     AUDIO_XFER_OUT,
@@ -12,14 +14,32 @@ from rio.devices import (
     ECHO_XFORM,
     FRAME_SETUP,
     MemoryContext,
+    OP_LOG_MAX,
     POLLIN,
     io,
     iowr,
 )
 from rio.errors import DisconnectedError
 from rio.memory import ByteArena
-from rio.testbed import SimWorld
-from rio.wire import Channel, Kind, Message, decode_body
+from rio.testbed import SimWorld, link_preset
+from rio.wire import (
+    COHERENCE_KINDS,
+    Channel,
+    CleanupNotice,
+    CopyDir,
+    CopyRequest,
+    CopyResponse,
+    FileOp,
+    FileOpRequest,
+    FileOpResponse,
+    HeartbeatAck,
+    Kind,
+    Message,
+    OpenAck,
+    OpenRequest,
+    SimulatedLink,
+    decode_body,
+)
 
 
 class ScriptedDevice(Device):
@@ -142,7 +162,7 @@ def test_partial_miss_fetches_only_missing_range():
         assert await handle.ioctl(cmd, 0x7000) == 0
 
     world.run(main())
-    assert world.session.coverage_log == [(0x7008, 8)]  # only the gap
+    assert list(world.session.coverage_log) == [(0x7008, 8)]  # only the gap
     assert world.server.stats.cache_misses == 1
     assert dev.observed[0] == bytes(range(16))
 
@@ -340,7 +360,7 @@ def test_client_close_notice_triggers_cleanup():
         await world.kernel.sleep(50)
 
     world.run(main())
-    assert world.server.stats.cleanups == [(world.session.session_id, "ClientClose")]
+    assert list(world.server.stats.cleanups) == [(world.session.session_id, "ClientClose")]
     assert all(v == 0 for v in world.census().values())
 
 
@@ -433,6 +453,109 @@ def test_malformed_payload_tears_down_session():
 
     world.run(main())
     assert [c for _, c in world.server.stats.cleanups] == ["LinkDown"]
+
+
+# Every non-coherence kind one side sends and the other never receives.
+_NEVER_RECEIVED = {
+    "server": [
+        (Kind.FILE_OP_RESPONSE, FileOpResponse(1, 0)),
+        (Kind.COPY_REQUEST, CopyRequest(1, CopyDir.FROM_USER, 0x1000, 8)),
+        (Kind.HEARTBEAT_ACK, HeartbeatAck(0)),
+        (Kind.OPEN_ACK, OpenAck(True, 1, 0)),
+    ],
+    "client": [
+        (Kind.FILE_OP_REQUEST, FileOpRequest(1, 1, FileOp.READ)),
+        (Kind.COPY_RESPONSE, CopyResponse(1)),
+        (Kind.HEARTBEAT, None),
+        (Kind.CLEANUP, CleanupNotice(0)),
+        (Kind.OPEN, OpenRequest("echodev")),
+    ],
+}
+
+
+@pytest.mark.parametrize("receiver,kind,body", [
+    pytest.param(side, kind, body, id=f"{side}-{kind.name}")
+    for side, cases in _NEVER_RECEIVED.items() for kind, body in cases
+])
+def test_kind_the_receiver_never_gets_tears_the_session_down(receiver, kind, body, caplog):
+    world = SimWorld(link="lan")
+
+    async def main():
+        await world.session.open("echodev")
+        server_session = next(iter(world.server.sessions.values()))
+        sender, target = ((world.session, server_session) if receiver == "server"
+                          else (server_session, world.session))
+        unexpected = set(Kind) - COHERENCE_KINDS - set(target._handlers)
+        assert unexpected == {k for k, _ in _NEVER_RECEIVED[receiver]}
+        sender._send(kind, body)
+        await world.kernel.sleep(50)
+
+    with caplog.at_level(logging.INFO, logger="rio.client"):
+        world.run(main())
+    if receiver == "server":
+        assert list(world.server.stats.cleanups) == [(1, "LinkDown")]
+        assert all(v == 0 for v in world.census().values())
+    else:
+        assert not world.session.live
+        assert "disconnect declared (protocol error)" in caplog.text
+        assert not world.server.stats.cleanups
+
+
+def test_two_clients_with_the_same_session_id_on_one_server():
+    world = SimWorld(link="lan")
+    other = Client(world.kernel, ClientConfig())
+    link = SimulatedLink(world.kernel, link_preset("lan"), rng=world.rng)
+    world.server.attach(link.b)
+    second = other.connect(link.a)
+    assert second.session_id == world.session.session_id
+
+    async def echo(session, client, first):
+        handle = await session.open("echodev")
+        arg = client.alloc(24)
+        client.arena.write(arg + 4, bytes(range(first, first + 8)))
+        assert await handle.ioctl(ECHO_XFORM, arg) == 0
+        await handle.close()
+        await session.close()
+        return client.arena.read(arg + 12, 8)
+
+    async def main():
+        t1 = world.kernel.spawn(echo(world.session, world.client, 0))
+        t2 = world.kernel.spawn(echo(second, other, 8))
+        return await t1, await t2
+
+    out1, out2 = world.run(main())
+    world.advance(100)
+    assert out1 == bytes((~i) & 0xFF for i in range(8))
+    assert out2 == bytes((~i) & 0xFF for i in range(8, 16))
+    assert list(world.server.stats.cleanups) == [(1, "ClientClose")] * 2
+    assert all(v == 0 for v in world.census().values())
+
+
+def test_cleanup_and_coverage_logs_keep_the_last_op_log_max_entries():
+    world = SimWorld(link="loopback", optimize=False)  # every copy_from_user misses
+    ops = OP_LOG_MAX + 10
+
+    async def main():
+        handle = await world.session.open("echodev")
+        arg = world.client.alloc(24)
+        for _ in range(ops):
+            assert await handle.ioctl(ECHO_XFORM, arg) == 0
+        return arg
+
+    arg = world.run(main())
+    assert world.session.coverage_misses == ops
+    assert list(world.session.coverage_log) == [(arg + 4, 8)] * OP_LOG_MAX
+
+    last = OP_LOG_MAX + 11
+    for sid in range(2, last + 1):  # each notice opens and closes one session
+        world.link.a.send(Message(sid, 0, Channel.CONTROL, Kind.CLEANUP,
+                                  CleanupNotice(2).pack()))
+    world.advance(50)
+    cleanups = world.server.stats.cleanups
+    assert len(cleanups) == OP_LOG_MAX
+    assert (cleanups[0], cleanups[-1]) == ((last - OP_LOG_MAX + 1, "ClientClose"),
+                                           (last, "ClientClose"))
+    assert len(world.server.sessions) == 1
 
 
 def test_ops_serialized_per_descriptor_except_poll():
