@@ -95,6 +95,12 @@ class HandleState(Enum):
     CLOSED = "closed"
 
 
+# Hot paths compare against these module names, as ``dsm`` does for page
+# states: reading a member off an enum class costs several times more.
+CONNECTED, FALLING_BACK, FAILED, CLOSED = (
+    HandleState.CONNECTED, HandleState.FALLING_BACK, HandleState.FAILED, HandleState.CLOSED)
+
+
 # ---------------------------------------------------------------------------
 # Prefetch registry
 # ---------------------------------------------------------------------------
@@ -313,24 +319,27 @@ class ClientSession(Peer):
         # them to decide between local fallback and an error.
         for handle in self.handles:
             handle._on_disconnect()
-        self._fail_pending(lambda: DisconnectedError(detail=reason))
-        for fut in self._open_queue:
-            fut.set_exception(DisconnectedError(detail=reason))
-        self._open_queue.clear()
-        self._hb_sent.clear()
-        self.dsm.clear()
-        self.regions.clear()
-        self._hb_task.cancel()
+        self._drop_state(reason)
 
     async def close(self) -> None:
-        """Graceful teardown: tell the server, then drop local state."""
+        """Graceful teardown: tell the server, then drop local state; an op
+        still waiting for a reply fails with ``DisconnectedError``."""
         if not self.live:
             return
         self._send(Kind.CLEANUP, CleanupNotice(cause=2))
         self.live = False
         for handle in self.handles:
-            if handle.state is HandleState.CONNECTED:
-                handle.state = HandleState.CLOSED
+            if handle.state is CONNECTED:
+                handle.state = CLOSED
+        self._drop_state("session closed")
+
+    def _drop_state(self, detail: str) -> None:
+        """Fail every pending reply and open, and drop regions and heartbeats."""
+        self._fail_pending(lambda: DisconnectedError(detail=detail))
+        for fut in self._open_queue:
+            fut.set_exception(DisconnectedError(detail=detail))
+        self._open_queue.clear()
+        self._hb_sent.clear()
         self.dsm.clear()
         self.regions.clear()
         self._hb_task.cancel()
@@ -369,6 +378,10 @@ class ClientSession(Peer):
     async def ensure_page(self, region_id: int, page: int, write: bool) -> None:
         if self.live and self.dsm.ready(region_id, page, write):
             return  # already permitted: no coherence traffic, no waiter
+        await self._acquire_page(region_id, page, write)
+
+    async def _acquire_page(self, region_id: int, page: int, write: bool) -> None:
+        """Start or join the page's coherence traffic until access is granted."""
         while True:
             if not self.live:
                 raise DisconnectedError(detail="session closed")
@@ -393,9 +406,12 @@ class MappedRegion:
         self.length = length
         self.npages = dsmmod.pages_for(length)
 
-    def _page_slices(self, addr: int, length: int):
+    def _check_range(self, addr: int, length: int) -> None:
         if addr < self.base or addr + length > self.base + self.npages * PAGE_SIZE:
             raise dsmmod.DsmError("access outside mapped region")
+
+    def _page_slices(self, addr: int, length: int):
+        self._check_range(addr, length)
         pos = addr
         end = addr + length
         while pos < end:
@@ -406,12 +422,25 @@ class MappedRegion:
             pos += take
 
     async def page_read(self, addr: int, length: int) -> bytes:
-        # One page at a time: each page access passes its own permission check.
+        # Every page passes its own permission check.  Each run of pages
+        # readable now is one arena read; the first page that is not waits
+        # for its coherence traffic and is then read on its own.
+        self._check_range(addr, length)
+        session, base, region_id = self.session, self.base, self.region_id
+        read = session.client.arena.read
         parts = []
-        for page, pos, take in self._page_slices(addr, length):
-            await self.session.ensure_page(self.region_id, page, write=False)
-            parts.append(self.session.client.arena.read(pos, take))
-        return b"".join(parts)
+        pos, end = addr, addr + length
+        last = (end - 1 - base) // PAGE_SIZE
+        while pos < end:
+            page = (pos - base) // PAGE_SIZE
+            n = session.dsm.readable_run(region_id, page, last - page + 1) if session.live else 0
+            if n == 0:
+                await session._acquire_page(region_id, page, False)
+                n = 1
+            stop = min(end, base + (page + n) * PAGE_SIZE)
+            parts.append(read(pos, stop - pos))
+            pos = stop
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     async def page_write(self, addr: int, data: bytes) -> None:
         data = bytes(data)
@@ -435,26 +464,26 @@ class VirtualHandle:
         self.desc = desc
         self.device_class = device_class
         self.name = name
-        self.state = HandleState.CONNECTED
+        self.state = CONNECTED
         self.regions: list[MappedRegion] = []
         self._local_desc = None
 
     # -- state ---------------------------------------------------------------
 
     def _on_disconnect(self) -> None:
-        if self.state in (HandleState.CLOSED, HandleState.FAILED, HandleState.FALLING_BACK):
+        if self.state in (CLOSED, FAILED, FALLING_BACK):
             return
         if self.device_class in self.client.local_devices:
-            self.state = HandleState.FALLING_BACK
+            self.state = FALLING_BACK
             log.info("handle %s: falling back to local device", self.name)
         else:
-            self.state = HandleState.FAILED
+            self.state = FAILED
         self.regions.clear()
 
     def _check_usable(self) -> None:
-        if self.state is HandleState.CLOSED:
+        if self.state is CLOSED:
             raise RioError(f"handle {self.name} is closed")
-        if self.state is HandleState.FAILED:
+        if self.state is FAILED:
             raise DisconnectedError(self.device_class)
 
     async def _run(self, remote: Callable[[], Awaitable[int]],
@@ -462,11 +491,11 @@ class VirtualHandle:
         """``remote()`` over the session; once the handle falls back,
         ``local(device, desc)`` on the registered local twin instead."""
         self._check_usable()
-        if self.state is HandleState.CONNECTED:
+        if self.state is CONNECTED:
             try:
                 return await remote()
             except DisconnectedError:
-                if self.state is not HandleState.FALLING_BACK:
+                if self.state is not FALLING_BACK:
                     raise
         device = self.client.local_devices[self.device_class]
         if self._local_desc is None:
@@ -532,7 +561,7 @@ class VirtualHandle:
 
     async def mmap(self, length: int, offset: int = 0) -> MappedRegion:
         self._check_usable()
-        if self.state is not HandleState.CONNECTED:
+        if self.state is not CONNECTED:
             raise DisconnectedError(self.device_class, "mmap has no local fallback")
         npages = dsmmod.pages_for(length)
         base = self.client.alloc(npages * PAGE_SIZE, align=2 * 1024 * 1024)
@@ -546,7 +575,7 @@ class VirtualHandle:
         return self._add_region(region_id, base, length)
 
     async def _close_map(self, mapped: MappedRegion) -> None:
-        if self.state is HandleState.CONNECTED:
+        if self.state is CONNECTED:
             await self._request(FileOp.CLOSE_MAP, region=mapped.region_id)
         self.session.dsm.drop_region(mapped.region_id)
         self.session.regions.pop(mapped.region_id, None)
@@ -556,7 +585,7 @@ class VirtualHandle:
     async def alloc_global_buffer(self, size: int, buffer_id: int) -> MappedRegion:
         """Allocate a buffer shared coherently with the server (camera-style)."""
         self._check_usable()
-        if self.state is not HandleState.CONNECTED:
+        if self.state is not CONNECTED:
             raise DisconnectedError(self.device_class)
         if size <= 0:
             raise ValueError("global buffer size must be positive")
@@ -583,11 +612,11 @@ class VirtualHandle:
         return mapped
 
     async def close(self) -> None:
-        if self.state is HandleState.CONNECTED:
+        if self.state is CONNECTED:
             for mapped in list(self.regions):
                 await mapped.unmap()
             try:
                 await self._request(FileOp.RELEASE)
             except DisconnectedError:
                 pass
-        self.state = HandleState.CLOSED
+        self.state = CLOSED

@@ -504,7 +504,7 @@ class FrameSourceDevice(Device):
                 return -EINVAL
             idx = desc.frame_seq % desc.count
             fill = frame_pattern(desc.frame_seq, desc.fmt.frame_bytes)
-            desc.buffers[idx][: len(fill)] = fill
+            memoryview(desc.buffers[idx])[: len(fill)] = fill  # no temporary copy
             mem.dma_complete(desc.region_ref, idx * desc.fmt.buffer_bytes,
                              desc.fmt.frame_bytes)
             desc.frame_seq += 1
@@ -527,7 +527,7 @@ class FrameSourceDevice(Device):
             if ref is None:
                 return -EINVAL
             desc.capture_seq += 1
-            ref.buf[: ref.length] = frame_pattern(desc.capture_seq, ref.length)
+            memoryview(ref.buf)[: ref.length] = frame_pattern(desc.capture_seq, ref.length)
             mem.dma_complete(ref, 0, ref.length)
             return 0
         return -ENOTTY

@@ -72,6 +72,8 @@ def pages_for(length: int) -> int:
 
 class PageStore:
     def read_page(self, index: int) -> bytes:
+        """The page's bytes, or a view of them that the next write to the
+        page changes: the node hands it straight to ``send``."""
         raise NotImplementedError
 
     def write_page(self, index: int, data: bytes) -> None:
@@ -354,6 +356,26 @@ class DsmNode:
             return False
         state = tracker.states[page]
         return state == READ_WRITE or (state == READ_ONLY and not write)
+
+    def readable_run(self, region_id: int, first: int, n: int) -> int:
+        """How many of the ``n`` pages from ``first`` a read may use now,
+        counted until the first page for which ``ready`` is False."""
+        tracker = self.region(region_id).tracker
+        end = first + n
+        paged = tracker.paged
+        for u in tracker._unit_range(first, n):  # DsmError outside the region
+            if not paged[u]:
+                end = max(first, u * SPLIT_UNIT_PAGES)
+                break
+        try:
+            end = tracker.states.index(INVALID, first, end)
+        except ValueError:
+            pass  # every page in the run is held
+        if self._pending:
+            for page in range(first, end):
+                if (region_id, page) in self._pending:
+                    return page - first
+        return end - first
 
     def local_write_done(self, region_id: int, page: int) -> None:
         region = self.region(region_id)

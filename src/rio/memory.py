@@ -7,6 +7,7 @@ Client-side process memory is modeled as a sparse flat address space of
 from __future__ import annotations
 
 PAGE_SIZE = 4096
+_ZERO_PAGE = memoryview(bytes(PAGE_SIZE))  # unmaterialized chunks read as zeros
 
 
 class ByteArena:
@@ -29,32 +30,40 @@ class ByteArena:
         if off + length <= PAGE_SIZE:  # within one chunk
             chunk = self._chunks.get(idx)
             return bytes(length) if chunk is None else bytes(chunk[off : off + length])
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            a = addr + pos
-            idx, off = divmod(a, PAGE_SIZE)
-            take = min(PAGE_SIZE - off, length - pos)
-            chunk = self._chunks.get(idx)
-            if chunk is not None:
-                out[pos : pos + take] = chunk[off : off + take]
+        # Several chunks: one join of views, so each byte is copied once.
+        chunks = self._chunks
+        parts = []
+        pos, end = addr, addr + length
+        while pos < end:
+            idx, off = divmod(pos, PAGE_SIZE)
+            take = min(PAGE_SIZE - off, end - pos)
+            chunk = chunks.get(idx)
+            if chunk is None:
+                parts.append(_ZERO_PAGE[:take])
+            elif take == PAGE_SIZE:
+                parts.append(chunk)
+            else:
+                parts.append(memoryview(chunk)[off : off + take])
             pos += take
-        return bytes(out)
+        return b"".join(parts)
 
     def write(self, addr: int, data: bytes) -> None:
+        # Stores go through memoryviews: assigning to a bytearray slice first
+        # copies any value that is not itself a bytearray.
         if addr < 0:
             raise ValueError("negative address")
         length = len(data)
         idx, off = divmod(addr, PAGE_SIZE)
         if 0 < length and off + length <= PAGE_SIZE:  # within one chunk
-            self._chunk(idx)[off : off + length] = data
+            memoryview(self._chunk(idx))[off : off + length] = data
             return
+        data = memoryview(data)
         pos = 0
         while pos < length:
             a = addr + pos
             idx, off = divmod(a, PAGE_SIZE)
             take = min(PAGE_SIZE - off, length - pos)
-            self._chunk(idx)[off : off + take] = data[pos : pos + take]
+            memoryview(self._chunk(idx))[off : off + take] = data[pos : pos + take]
             pos += take
 
     def touched_bytes(self) -> int:

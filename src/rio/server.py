@@ -58,6 +58,8 @@ log = logging.getLogger("rio.server")
 
 GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
 
+_POLL = FileOp.POLL  # a module name: an enum class attribute costs more to read
+
 CAUSE_HEARTBEAT_TIMEOUT = "HeartbeatTimeout"
 CAUSE_LINK_DOWN = "LinkDown"
 CAUSE_CLIENT_CLOSE = "ClientClose"
@@ -148,15 +150,19 @@ class _OpContext:
 class _MappedPagesStore(dsmmod.PageStore):
     """Region pages backed by the buffers a device handed to map_page.
 
-    Each page is kept as a view of its buffer, so reading it is one copy;
-    a mapped buffer cannot be resized while its region exists.
+    Each page is kept as a view of its buffer, and ``read_page`` returns
+    that view, not a copy; a mapped buffer cannot be resized while its
+    region exists.  What the node sends is still a snapshot at DMA (or
+    fetch) time: the session's ``send`` encodes the frame, copying each
+    page into it, before it returns, so a later fill of the buffer does
+    not reach a frame already sent.
     """
 
     def __init__(self, sources: list[tuple[bytearray, int]]) -> None:
         self.pages = [memoryview(buf)[off : off + PAGE_SIZE] for buf, off in sources]
 
-    def read_page(self, index: int) -> bytes:
-        return self.pages[index].tobytes()
+    def read_page(self, index: int) -> memoryview:
+        return self.pages[index]
 
     def write_page(self, index: int, data: bytes) -> None:
         self.pages[index][:] = data
@@ -182,6 +188,15 @@ class ServerSession(Peer):
         self.last_heartbeat = self.kernel.now()
         self._copy_id = 1 << 62
         self._region_id = 1
+        # Every op but a poll runs under its descriptor's lock.
+        self._locked_ops = {
+            FileOp.READ: self._run_read,
+            FileOp.WRITE: self._run_write,
+            FileOp.IOCTL: self._run_ioctl,
+            FileOp.MMAP: self._run_mmap,
+            FileOp.CLOSE_MAP: self._run_close_map,
+            FileOp.RELEASE: self._release_descriptor,
+        }
         self._watchdog = self.kernel.spawn(self._watch_liveness(), "hb-watchdog")
 
     # -- inbound -----------------------------------------------------------
@@ -241,11 +256,11 @@ class ServerSession(Peer):
         self.live_ops[req.op_id] = ctx
         mem = ServerMemoryContext(self, ctx)
         try:
-            if req.op == FileOp.POLL:
+            if req.op is _POLL:
                 result = await self._run_poll(entry, req, mem)
             else:
                 async with entry.lock:
-                    result = await self._run_locked_op(entry, req, ctx, mem)
+                    result = await self._locked_ops[req.op](entry, req, ctx, mem)
         except (Cancelled, SessionClosed):
             self.live_ops.pop(req.op_id, None)
             return
@@ -265,23 +280,20 @@ class ServerSession(Peer):
                                FileOpResponse(req.op_id, result, batch))
         entry.device.response_delivered(entry.desc, delivered)
 
-    async def _run_locked_op(self, entry: _DescEntry, req: FileOpRequest,
-                             ctx: _OpContext, mem: MemoryContext) -> int:
-        device, desc = entry.device, entry.desc
-        if req.op == FileOp.READ:
-            return await device.read(desc, req.addr, req.length, mem)
-        if req.op == FileOp.WRITE:
-            return await device.write(desc, req.addr, req.length, mem)
-        if req.op == FileOp.IOCTL:
-            return await device.ioctl(desc, req.cmd, req.addr, mem)
-        if req.op == FileOp.MMAP:
-            return await self._run_mmap(entry, req, ctx, mem)
-        if req.op == FileOp.CLOSE_MAP:
-            return await self._run_close_map(req.region)
-        if req.op == FileOp.RELEASE:
-            await self._release_descriptor(entry)
-            return 0
-        return -EINVAL
+    # The locked ops share one signature.  The device ops return the
+    # device's coroutine, which ``_run_op`` awaits itself.
+
+    def _run_read(self, entry: _DescEntry, req: FileOpRequest, ctx: _OpContext,
+                  mem: MemoryContext):
+        return entry.device.read(entry.desc, req.addr, req.length, mem)
+
+    def _run_write(self, entry: _DescEntry, req: FileOpRequest, ctx: _OpContext,
+                   mem: MemoryContext):
+        return entry.device.write(entry.desc, req.addr, req.length, mem)
+
+    def _run_ioctl(self, entry: _DescEntry, req: FileOpRequest, ctx: _OpContext,
+                   mem: MemoryContext):
+        return entry.device.ioctl(entry.desc, req.cmd, req.addr, mem)
 
     async def _run_poll(self, entry: _DescEntry, req: FileOpRequest,
                         mem: MemoryContext) -> int:
@@ -325,8 +337,9 @@ class ServerSession(Peer):
             attach(entry.desc, ref)
         return region_id
 
-    async def _run_close_map(self, region_id: int) -> int:
-        rec = self.regions.get(region_id)
+    async def _run_close_map(self, entry: _DescEntry, req: FileOpRequest,
+                             ctx: _OpContext, mem: MemoryContext) -> int:
+        rec = self.regions.get(req.region)
         if rec is None:
             return -EINVAL
         await self._drop_region(rec)
@@ -346,11 +359,13 @@ class ServerSession(Peer):
         self.dsm.drop_region(rec.region_id)
         self.regions.pop(rec.region_id, None)
 
-    async def _release_descriptor(self, entry: _DescEntry) -> None:
+    async def _release_descriptor(self, entry: _DescEntry, req: FileOpRequest,
+                                  ctx: _OpContext, mem: MemoryContext) -> int:
         for rec in [r for r in self.regions.values() if r.desc_id == entry.desc.desc_id]:
             await self._drop_region(rec)
         await entry.device.release(entry.desc)
         self.descs.pop(entry.desc.desc_id, None)
+        return 0
 
     # -- copy service ----------------------------------------------------------
 

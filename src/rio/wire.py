@@ -18,6 +18,14 @@ Senders never choose a channel: they derive it from the kind through
 ``KIND_CHANNEL``.  The ``Message`` constructor checks the pair as well, by
 one ``KIND_CHANNEL`` lookup, so no ``Message`` holds a mismatched pair.
 
+Copies: a frame's bytes are copied once into the frame, by the one join
+or concatenation in ``encode_frame``, and once out of it, when
+``decode_frame`` takes the payload.  A body may be sent as a tuple of its
+parts (``PageUpdateBatch.parts``), which ``encode_frame`` joins with the
+header, so a pushed page goes from the device buffer into the frame in
+that one copy.  Page bytes decoded from a payload stay views of it until
+the receiver installs them.
+
 Sessions: ``Peer`` is the session core of both stubs.  It numbers the
 frames it sends per channel, and tears the session down (``_fault``) on a
 sequence gap or on any ``ProtocolError`` while handling a frame: a bad
@@ -101,6 +109,7 @@ KIND_CHANNEL = {
 _FRAME_PAIRS = tuple((Kind(b), KIND_CHANNEL[b]) if b in KIND_CHANNEL else None
                      for b in range(256))
 
+COHERENCE = Channel.COHERENCE
 COHERENCE_KINDS = frozenset(k for k, c in KIND_CHANNEL.items() if c == Channel.COHERENCE)
 
 # Kinds that open a request/response pair on the file-operation channel.
@@ -126,7 +135,7 @@ class Message:
     seq: int
     channel: Channel
     kind: Kind
-    payload: bytes = b""
+    payload: bytes = b""  # or, on the send side, a tuple of buffers in order
 
     def __post_init__(self) -> None:
         if KIND_CHANNEL.get(self.kind) != self.channel:
@@ -134,10 +143,13 @@ class Message:
 
 
 def encode_frame(msg: Message) -> bytes:
-    if len(msg.payload) > MAX_PAYLOAD:
-        raise EncodingError(f"payload of {len(msg.payload)} bytes exceeds frame limit")
-    total = HEADER_SIZE + len(msg.payload)
-    return HEADER.pack(total, msg.kind, msg.channel, msg.session_id, msg.seq) + msg.payload
+    payload = msg.payload
+    parts = payload.__class__ is tuple  # a body's parts: one join with the header
+    size = sum(map(len, payload)) if parts else len(payload)
+    if size > MAX_PAYLOAD:
+        raise EncodingError(f"payload of {size} bytes exceeds frame limit")
+    header = HEADER.pack(HEADER_SIZE + size, msg.kind, msg.channel, msg.session_id, msg.seq)
+    return b"".join((header, *payload)) if parts else header + payload
 
 
 def decode_frame(buf: bytes, offset: int = 0) -> tuple[Message, int]:
@@ -217,16 +229,27 @@ def _pack_entries(entries: list[tuple[int, bytes]]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_entries(payload: bytes, off: int) -> tuple[list[tuple[int, bytes]], int]:
+def _unpack_entries(payload: bytes, off: int) -> list[tuple[int, bytes]]:
+    """The entry list that starts at ``off`` and ends the payload."""
     (count,) = struct.unpack_from(">H", payload, off)
     off += 2
+    size = len(payload)
     entries = []
     for _ in range(count):
         addr, n = _ENTRY_HEAD.unpack_from(payload, off)
         off += _ENTRY_HEAD.size
+        if off + n > size:
+            raise ProtocolError(f"entry of {n} bytes runs past a {size}-byte payload")
         entries.append((addr, bytes(payload[off : off + n])))
         off += n
-    return entries, off
+    if off != size:
+        raise ProtocolError(f"{size - off} bytes after the last entry")
+    return entries
+
+
+def _check_end(payload: bytes, off: int) -> None:
+    if off != len(payload):
+        raise ProtocolError(f"{len(payload) - off} bytes after the last field")
 
 
 @dataclass
@@ -256,7 +279,7 @@ class FileOpRequest:
     @classmethod
     def unpack(cls, payload: bytes) -> "FileOpRequest":
         vals = _FILE_OP_FIXED.unpack_from(payload, 0)
-        entries, _ = _unpack_entries(payload, _FILE_OP_FIXED.size)
+        entries = _unpack_entries(payload, _FILE_OP_FIXED.size)
         return cls(vals[0], vals[1], FileOp(vals[2]), vals[3], vals[4], vals[5],
                    vals[6], vals[7], vals[8], vals[9], vals[10], entries)
 
@@ -275,7 +298,7 @@ class FileOpResponse:
     @classmethod
     def unpack(cls, payload: bytes) -> "FileOpResponse":
         op_id, result = struct.unpack_from(">Qq", payload, 0)
-        batch, _ = _unpack_entries(payload, 16)
+        batch = _unpack_entries(payload, 16)
         return cls(op_id, result, batch)
 
 
@@ -300,7 +323,13 @@ class CopyRequest:
     @classmethod
     def unpack(cls, payload: bytes) -> "CopyRequest":
         op_id, direction, addr, length = struct.unpack_from(">QBQI", payload, 0)
-        return cls(op_id, CopyDir(direction), addr, length, bytes(payload[21:]))
+        direction = CopyDir(direction)
+        data = bytes(payload[21:])
+        # Only a write to the user carries bytes, exactly ``length`` of them.
+        if len(data) != (length if direction == CopyDir.TO_USER else 0):
+            raise ProtocolError(f"{direction.name} copy of {length} bytes "
+                                f"carries {len(data)} bytes")
+        return cls(op_id, direction, addr, length, data)
 
 
 @dataclass
@@ -333,6 +362,8 @@ class PageFetch:
     @classmethod
     def unpack(cls, payload: bytes) -> "PageFetch":
         region, page, own = struct.unpack(">QIB", payload)
+        if own > 1:
+            raise ProtocolError(f"ownership flag {own} is neither 0 nor 1")
         return cls(region, page, bool(own))
 
 
@@ -375,8 +406,13 @@ class PageInvalidate:
     @classmethod
     def unpack(cls, payload: bytes) -> "PageInvalidate":
         region, count = struct.unpack_from(">QH", payload, 0)
+        _check_end(payload, 10 + 4 * count)
         pages = list(struct.unpack_from(f">{count}I", payload, 10))
         return cls(region, pages)
+
+
+_BATCH_HEAD = struct.Struct(">QH")
+_PAGE_INDEX = struct.Struct(">I")
 
 
 @dataclass
@@ -386,25 +422,31 @@ class PageUpdateBatch:
 
     kind = Kind.PAGE_UPDATE_BATCH
 
-    def pack(self) -> bytes:
-        parts = [struct.pack(">QH", self.region, len(self.entries))]
+    def parts(self) -> tuple:
+        """The payload as buffers in order: the head, then each page's index
+        and bytes.  The page buffers are the entries' own, not copies."""
+        parts = [_BATCH_HEAD.pack(self.region, len(self.entries))]
+        append, index = parts.append, _PAGE_INDEX.pack
         for page, data in self.entries:
-            parts.append(struct.pack(">I", page))
-            parts.append(data)
-        return b"".join(parts)
+            append(index(page))
+            append(data)
+        return tuple(parts)
+
+    def pack(self) -> bytes:
+        return b"".join(self.parts())
 
     @classmethod
     def unpack(cls, payload: bytes) -> "PageUpdateBatch":
         # Page bytes stay views of the payload; installing them is their copy.
-        region, count = struct.unpack_from(">QH", payload, 0)
-        if len(payload) != 10 + count * (4 + PAGE_SIZE):
+        region, count = _BATCH_HEAD.unpack_from(payload, 0)
+        if len(payload) != _BATCH_HEAD.size + count * (4 + PAGE_SIZE):
             raise ProtocolError(f"update batch of {len(payload)} bytes does not hold "
                                 f"exactly {count} {PAGE_SIZE}-byte pages")
         view = memoryview(payload)
-        off = 10
+        off = _BATCH_HEAD.size
         entries = []
         for _ in range(count):
-            (page,) = struct.unpack_from(">I", payload, off)
+            (page,) = _PAGE_INDEX.unpack_from(payload, off)
             off += 4
             entries.append((page, view[off : off + PAGE_SIZE]))
             off += PAGE_SIZE
@@ -425,7 +467,8 @@ class OpenRequest:
     @classmethod
     def unpack(cls, payload: bytes) -> "OpenRequest":
         flags, n = struct.unpack_from(">IH", payload, 0)
-        return cls(payload[6 : 6 + n].decode(), flags)
+        _check_end(payload, 6 + n)
+        return cls(payload[6:].decode(), flags)
 
 
 @dataclass
@@ -442,6 +485,8 @@ class OpenAck:
     @classmethod
     def unpack(cls, payload: bytes) -> "OpenAck":
         ok, desc, errno = struct.unpack(">BQi", payload)
+        if ok > 1:
+            raise ProtocolError(f"ok flag {ok} is neither 0 nor 1")
         return cls(bool(ok), desc, errno)
 
 
@@ -547,7 +592,13 @@ class Peer:
                                           body.pack() if body is not None else b""))
 
     def _send_coherence(self, body) -> None:
-        self._send(body.kind, body)
+        """Send a DSM body.  An update batch goes out as its parts, so its
+        pages are copied once, into the frame; the endpoint encodes the frame
+        before ``send`` returns, so the pages are read as they are now."""
+        seq = self._out_seq[COHERENCE]
+        self._out_seq[COHERENCE] = seq + 1
+        payload = body.parts() if body.__class__ is PageUpdateBatch else body.pack()
+        self.endpoint.send(Message(self.session_id, seq, COHERENCE, body.kind, payload))
 
     def on_message(self, msg: Message) -> None:
         if not self.live:

@@ -18,6 +18,7 @@ from rio.devices import (
 )
 from rio.dsm import PageState, Policy
 from rio.errors import DisconnectedError
+from rio.memory import PAGE_SIZE
 from rio.testbed import SimWorld
 from rio.wire import LinkConfig
 
@@ -545,3 +546,144 @@ def test_zero_byte_write_round_trips_with_count_zero():
     count, trips = world.run(main())
     assert count == 0
     assert trips == 1
+
+
+def test_close_fails_an_op_in_flight():
+    world = SimWorld(link="lan")
+
+    async def main():
+        handle = await world.session.open("sensor")
+        poll = world.kernel.spawn(handle.poll(POLLIN), "poll")
+        await world.kernel.sleep(1.0)  # the request is still on the link
+        assert len(world.session.pending) == 1
+        await world.session.close()
+        await world.kernel.sleep(100.0)  # deliver the cleanup notice
+        return poll
+
+    poll = world.run(main())
+    assert poll.done()
+    with pytest.raises(DisconnectedError):
+        poll.result()
+    assert not world.session.pending
+    assert not any(world.census().values())
+
+
+# ---------------------------------------------------------------------------
+# The page path: push snapshots and reads by runs
+# ---------------------------------------------------------------------------
+
+
+def test_update_push_carries_the_frame_as_it_was_at_dma_time():
+    world = SimWorld(link="lan", dsm_policy=Policy.UPDATE_PUSH)
+    overwrites = []
+
+    async def main():
+        handle, region = await _setup_frames(world)()
+        server = next(iter(world.server.sessions.values()))
+        dma_complete = server._dma_complete
+
+        def dma_then_overwrite(region_id, offset, length):
+            installs = world.session.dsm.stats["installs"]
+            dma_complete(region_id, offset, length)
+            # The device fills the buffer again before the batch arrives.
+            store = server.dsm.region(region_id).store
+            for page in range(offset // PAGE_SIZE, (offset + length - 1) // PAGE_SIZE + 1):
+                store.write_page(page, b"\xee" * PAGE_SIZE)
+            overwrites.append(world.session.dsm.stats["installs"] - installs)
+
+        server._dma_complete = dma_then_overwrite
+        idx = await handle.ioctl(FRAME_DQ)
+        got = await region.page_read(region.base + idx * 614_400, 614_400)
+        return got, bytes(server.dsm.region(region.region_id).store.read_page(0))
+
+    got, server_page = world.run(main())
+    assert overwrites == [0]  # overwritten before the client installed anything
+    assert server_page == b"\xee" * PAGE_SIZE
+    assert got == frame_pattern(0, 614_400)
+
+
+async def _per_page_read(region, addr, length):
+    """The reference read: each page through ``ensure_page``, then read alone."""
+    session = region.session
+    parts = []
+    for page, pos, take in region._page_slices(addr, length):
+        await session.ensure_page(region.region_id, page, write=False)
+        parts.append(session.client.arena.read(pos, take))
+    return b"".join(parts)
+
+
+async def _page_read(region, addr, length):
+    return await region.page_read(addr, length)
+
+
+async def _mixed_invalidate_region(world):
+    """Pages 0-6 of a frame buffer, in order: invalid, read-only, read-only,
+    read-write, invalid, invalid with a fetch in flight, invalid."""
+    handle, region = await _setup_frames(world)()
+    assert await handle.ioctl(FRAME_DQ) == 0
+    base = region.base
+    await region.page_read(base + PAGE_SIZE, 2 * PAGE_SIZE)
+    await region.page_write(base + 3 * PAGE_SIZE + 10, b"rw")
+    world.kernel.spawn(region.page_read(base + 5 * PAGE_SIZE, 8))
+    await world.kernel.sleep(0)
+    return region, [PageState.INVALID, PageState.READ_ONLY, PageState.READ_ONLY,
+                    PageState.READ_WRITE, PageState.INVALID, PageState.INVALID,
+                    PageState.INVALID]
+
+
+async def _mixed_push_region(world):
+    """Pages 0-6 all read-only from an update batch, while page 5's fetch,
+    sent before the batch arrived, is still in flight."""
+    handle, region = await _setup_frames(world)()
+    world.kernel.spawn(handle.ioctl(FRAME_DQ))
+    world.kernel.spawn(region.page_read(region.base + 5 * PAGE_SIZE, 8))
+    tracker = world.session.dsm.region(region.region_id).tracker
+    while tracker.states[5] != PageState.READ_ONLY:
+        await world.kernel.sleep(0.1)
+    return region, [PageState.READ_ONLY] * 7
+
+
+def _read_over_mixed_pages(policy, prepare, reader):
+    """Read from mid page 0 to mid page 6 of the region ``prepare`` sets up.
+    Returns the bytes, when the read finished, every coherence body either
+    side sent during it, and the client's page states after it."""
+    world = SimWorld(link="lan", dsm_policy=policy)
+    sent = []
+
+    def record(node):
+        send = node.send
+
+        def recording_send(body):
+            sent.append((node.side, world.now(), type(body).__name__,
+                         getattr(body, "page", None), tuple(getattr(body, "pages", ()))))
+            send(body)
+        node.send = recording_send
+
+    async def main():
+        region, states = await prepare(world)
+        dsm = world.session.dsm
+        tracker = dsm.region(region.region_id).tracker
+        assert tracker.states[:7] == states
+        assert set(dsm._pending) == {(region.region_id, 5)}
+        record(dsm)
+        record(next(iter(world.server.sessions.values())).dsm)
+        got = await reader(region, region.base + 100, 6 * PAGE_SIZE)
+        return got, world.now(), sent, tracker.states[:7]
+
+    return world.run(main())
+
+
+@pytest.mark.parametrize("policy,prepare,fetched", [
+    pytest.param(Policy.INVALIDATE, _mixed_invalidate_region, [0, 4, 6], id="invalidate"),
+    pytest.param(Policy.UPDATE_PUSH, _mixed_push_region, [], id="update_push"),
+])
+def test_page_read_by_runs_matches_the_per_page_reference(policy, prepare, fetched):
+    result = _read_over_mixed_pages(policy, prepare, _page_read)
+    got, _, sent, _ = result
+    want = bytearray(frame_pattern(0, 614_400)[: 7 * PAGE_SIZE])
+    if policy == Policy.INVALIDATE:
+        want[3 * PAGE_SIZE + 10 : 3 * PAGE_SIZE + 12] = b"rw"
+    assert got == bytes(want[100 : 100 + 6 * PAGE_SIZE])
+    assert [page for side, _, kind, page, _ in sent
+            if side == "client" and kind == "PageFetch"] == fetched
+    assert result == _read_over_mixed_pages(policy, prepare, _per_page_read)

@@ -34,3 +34,27 @@ def test_allocator_alignment_and_disjointness():
     assert c >= b + 5000
     with pytest.raises(ValueError):
         alloc.alloc(0)
+
+
+def test_read_matches_a_byte_model_across_chunks_gaps_and_offsets():
+    arena = ByteArena()
+    model = {}
+
+    def write(addr, data):
+        arena.write(addr, data)
+        model.update(zip(range(addr, addr + len(data)), data))
+
+    # Chunks 10 and 11 written whole, chunk 13 in part; 12 and 14 never.
+    base = 10 * PAGE_SIZE
+    write(base, memoryview(bytes((i * 7 + 1) & 0xFF for i in range(2 * PAGE_SIZE))))
+    write(13 * PAGE_SIZE + 100, bytes(range(1, 201)))
+    starts = [base - 3, base, base + 1, base + PAGE_SIZE - 1, base + 2 * PAGE_SIZE - 5,
+              13 * PAGE_SIZE + 150]
+    lengths = [0, 1, 2 * PAGE_SIZE // 3, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1,
+               2 * PAGE_SIZE + 17, 3 * PAGE_SIZE]
+    for start in starts:
+        for length in lengths:
+            got = arena.read(start, length)
+            assert type(got) is bytes
+            assert got == bytes(model.get(a, 0) for a in range(start, start + length)), \
+                (start, length)

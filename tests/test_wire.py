@@ -8,14 +8,17 @@ from hypothesis import given, settings, strategies as st
 from rio.kernel import SimKernel
 from rio.wire import (
     Channel,
+    CleanupNotice,
     CopyDir,
     CopyRequest,
+    CopyResponse,
     FileOp,
     FileOpRequest,
     FileOpResponse,
     Framer,
     HEADER,
     HEADER_SIZE,
+    HeartbeatAck,
     Kind,
     KIND_CHANNEL,
     LinkConfig,
@@ -246,6 +249,48 @@ def test_truncated_or_padded_update_batch_is_a_protocol_error():
         _assert_rejected(Kind.PAGE_UPDATE_BATCH, payload[:cut])
     for extra in (b"\x00", bytes(4), bytes(4100)):
         _assert_rejected(Kind.PAGE_UPDATE_BATCH, payload + extra)
+
+
+_EXAMPLE_BODIES = [
+    FileOpRequest(7, 3, FileOp.IOCTL, addr=0x1000, cmd=0xC018_4501,
+                  prefetch=[(0x1000, b"hdr"), (0x9000, bytes(9))]),
+    FileOpResponse(9, -11, batch=[(4, b"zz"), (2, b"a")]),
+    CopyRequest(1, CopyDir.FROM_USER, 0x20, 16),
+    CopyRequest(2, CopyDir.TO_USER, 0x40, 3, b"abc"),
+    CopyResponse(3, b"xyz"),
+    PageFetch(5, 17, True),
+    PageData(5, 17, bytes(range(256)) * 16),
+    PageInvalidate(5, [1, 2, 9]),
+    PageUpdateBatch(5, [(0, bytes(4096)), (3, b"\x01" * 4096)]),
+    OpenRequest("sensor", 2),
+    OpenAck(True, 4, 0),
+    HeartbeatAck(12),
+    CleanupNotice(2),
+]
+
+
+@pytest.mark.parametrize("body", _EXAMPLE_BODIES, ids=lambda b: type(b).__name__)
+def test_every_cut_or_padded_payload_decodes_exactly_or_is_a_protocol_error(body):
+    payload = body.pack()
+    for candidate in [payload[:cut] for cut in range(len(payload))] + [payload + b"\x00"]:
+        msg = Message(1, 0, KIND_CHANNEL[body.kind], body.kind, candidate)
+        try:
+            got = decode_body(msg)
+        except ProtocolError:
+            continue
+        assert got.pack() == candidate, (len(candidate), got)
+
+
+def test_copy_request_data_must_fit_its_direction_and_length():
+    for body in (CopyRequest(1, CopyDir.TO_USER, 0x40, 3, b"ab"),
+                 CopyRequest(2, CopyDir.TO_USER, 0x40, 3, b"abcd"),
+                 CopyRequest(3, CopyDir.FROM_USER, 0x20, 16, b"x")):
+        _assert_rejected(Kind.COPY_REQUEST, body.pack())
+
+
+def test_flag_bytes_other_than_0_or_1_are_rejected():
+    _assert_rejected(Kind.PAGE_FETCH, PageFetch(5, 17, True).pack()[:-1] + b"\x02")
+    _assert_rejected(Kind.OPEN_ACK, b"\xff" + OpenAck(True, 4, 0).pack()[1:])
 
 
 def test_truncated_update_batch_installs_nothing_and_drops_the_session():
