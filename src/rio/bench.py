@@ -37,8 +37,6 @@ from .wire import LinkConfig
 
 CSV_COLUMNS = ("scenario", "param", "metric", "value", "round_trips", "bytes_on_wire")
 
-BENCH_NAMES = ("audio", "camera", "sensor", "modem", "copy", "disconnect")
-
 RESOLUTIONS = {
     "vga": (640, 480),
     "720p": (1280, 720),
@@ -46,6 +44,8 @@ RESOLUTIONS = {
 }
 
 CAPTURE_BUFFER_BYTES = 8_000_000  # fixed photo buffer, resolution-independent
+
+DSM_POLICIES = {"push": Policy.UPDATE_PUSH, "invalidate": Policy.INVALIDATE}
 
 
 @dataclass
@@ -93,9 +93,10 @@ def _hb_interval_for(config: LinkConfig, largest_frame_bytes: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bench_audio(buffer_ms: float, link: str | LinkConfig = "lan", *,
+def bench_audio(buffer_ms: float = 7.0, link: str | LinkConfig = "lan", *,
                 direction: str = "out", seed: int = 0,
-                n_segments: Optional[int] = None, warmup: int = 8) -> Row:
+                n_segments: Optional[int] = None, warmup: int = 8,
+                optimize: bool = True) -> Row:
     """Closed-loop segment transfers; reports the steady achieved rate in kHz.
 
     Playback ships 16-bit stereo (4 B/frame); capture ships 8-bit mono
@@ -112,7 +113,7 @@ def bench_audio(buffer_ms: float, link: str | LinkConfig = "lan", *,
     frames_per_seg = round(buffer_ms * audio.rate_hz / 1000.0)
     if n_segments is None:
         n_segments = max(60, min(1200, int(8000.0 / buffer_ms)))
-    world = SimWorld(config, seed=seed, audio=audio,
+    world = SimWorld(config, seed=seed, optimize=optimize, audio=audio,
                      heartbeat_interval_ms=_hb_interval_for(config, frames_per_seg * frame_bytes + 64))
     cmd = AUDIO_XFER_OUT if direction == "out" else AUDIO_XFER_IN
 
@@ -143,11 +144,14 @@ def bench_audio(buffer_ms: float, link: str | LinkConfig = "lan", *,
 # ---------------------------------------------------------------------------
 
 
-def bench_camera(mode: str, resolution: str = "vga", link: str | LinkConfig = "lan", *,
-                 seed: int = 0, n_frames: int = 1000, warmup: int = 50,
-                 buffers: int = 3, dsm: Policy = Policy.UPDATE_PUSH) -> Row:
+def bench_camera(mode: str = "stream", resolution: str = "vga",
+                 link: str | LinkConfig = "lan", *, seed: int = 0, n_frames: int = 1000,
+                 warmup: int = 50, buffers: int = 3, dsm: str = "push",
+                 optimize: bool = True) -> Row:
     """Streaming fps (over ``n_frames`` dequeues, skipping ``warmup``) or
-    photo-capture seconds for the fixed 8 MB buffer."""
+    photo-capture seconds for the fixed 8 MB buffer.  ``dsm`` is the mapped
+    buffers' policy: "push" (update-push) or "invalidate"."""
+    policy = DSM_POLICIES[dsm]
     if resolution in RESOLUTIONS:
         width, height = RESOLUTIONS[resolution]
     else:
@@ -161,7 +165,7 @@ def bench_camera(mode: str, resolution: str = "vga", link: str | LinkConfig = "l
     # in-flight window (every buffer's batch queued back to back).
     inflight = (CAPTURE_BUFFER_BYTES if mode == "capture"
                 else buffers * fmt.buffer_bytes) + 8200
-    world = SimWorld(config, seed=seed, dsm_policy=dsm,
+    world = SimWorld(config, seed=seed, optimize=optimize, dsm_policy=policy,
                      heartbeat_interval_ms=_hb_interval_for(config, inflight))
 
     if mode == "stream":
@@ -242,13 +246,14 @@ def bench_sensor(link: str | LinkConfig = "lan", n_samples: int = 200, *,
 
 
 def bench_modem(kind: str = "call", link: str | LinkConfig = "lan", *,
-                seed: int = 0, carrier_delay_ms: Optional[float] = None) -> Row:
+                seed: int = 0, carrier_delay_ms: Optional[float] = None,
+                optimize: bool = True) -> Row:
     """Seconds from submission to completion for a CALL or SMS."""
     tag = {"call": MODEM_CALL, "sms": MODEM_SMS}[kind]
     kwargs = {}
     if carrier_delay_ms is not None:
         kwargs["call_delay_ms" if kind == "call" else "sms_delay_ms"] = carrier_delay_ms
-    world = SimWorld(link, seed=seed, **kwargs)
+    world = SimWorld(link, seed=seed, optimize=optimize, **kwargs)
 
     async def drive():
         handle = await world.session.open("modem")
@@ -272,10 +277,13 @@ def bench_modem(kind: str = "call", link: str | LinkConfig = "lan", *,
 
 
 def bench_copy(mode: str = "optimized", link: str | LinkConfig = "lan", *,
-               seed: int = 0) -> Row:
-    """File-op channel round trips for one echodev ioctl."""
+               seed: int = 0, optimize: bool = True) -> Row:
+    """File-op channel round trips for one echodev ioctl; ``optimize`` off
+    makes any mode unoptimized."""
     if mode not in ("optimized", "unoptimized"):
         raise ValueError("mode must be optimized|unoptimized")
+    if not optimize:
+        mode = "unoptimized"
     world = SimWorld(link, seed=seed, optimize=(mode == "optimized"))
 
     async def drive():
@@ -297,7 +305,7 @@ def bench_copy(mode: str = "optimized", link: str | LinkConfig = "lan", *,
 
 
 def bench_disconnect(link: str | LinkConfig = "lan", *, seed: int = 0,
-                     trials: int = 50) -> list[Row]:
+                     trials: int = 50, optimize: bool = True) -> list[Row]:
     """Cut the link at random instants; audit cleanup and failover.
 
     For each trial: the server must end with zero residual bookkeeping and
@@ -312,7 +320,7 @@ def bench_disconnect(link: str | LinkConfig = "lan", *, seed: int = 0,
         for trial in range(trials):
             trial_seed = seed * 10_000 + trial
             try:
-                ok, note = _disconnect_trial(scenario, link, trial_seed)
+                ok, note = _disconnect_trial(scenario, link, trial_seed, optimize)
             except Exception as exc:
                 ok, note = False, f"{type(exc).__name__}: {exc}"
             if not ok:
@@ -325,8 +333,9 @@ def bench_disconnect(link: str | LinkConfig = "lan", *, seed: int = 0,
     return rows
 
 
-def _disconnect_trial(scenario: str, link: str | LinkConfig, seed: int) -> tuple[bool, str]:
-    world = SimWorld(link, seed=seed)
+def _disconnect_trial(scenario: str, link: str | LinkConfig, seed: int,
+                      optimize: bool) -> tuple[bool, str]:
+    world = SimWorld(link, seed=seed, optimize=optimize)
     cut_at = 30.0 + world.rng.random() * 1400.0
     client_timeout = world.client.config.timeout_ms
     server_timeout = world.server.config.timeout_ms
@@ -399,13 +408,35 @@ def _disconnect_trial(scenario: str, link: str | LinkConfig, seed: int) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Scenario bundling
+# The bench table
 # ---------------------------------------------------------------------------
+
+# Each bench's function and its own CLI flags.  Every bench also takes
+# ``link``, ``seed`` and ``optimize``.  A flag's dest is the name of the
+# function's parameter, and the function's default is the flag's.
+BENCHES = {
+    "audio": (bench_audio, (
+        ("--buffer-ms", {"type": float}),
+        ("--direction", {"choices": ["out", "in"]}),
+    )),
+    "camera": (bench_camera, (
+        ("--mode", {"choices": ["stream", "capture"]}),
+        ("--resolution", {"help": "vga|720p|1080p or WIDTHxHEIGHT"}),
+        ("--frames", {"dest": "n_frames", "type": int}),
+        ("--dsm", {"choices": sorted(DSM_POLICIES)}),
+        ("--buffers", {"type": int}),
+    )),
+    "sensor": (bench_sensor, (("--samples", {"dest": "n_samples", "type": int}),)),
+    "modem": (bench_modem, (("--kind", {"choices": ["call", "sms"]}),)),
+    "copy": (bench_copy, (("--mode", {"choices": ["optimized", "unoptimized"]}),)),
+    "disconnect": (bench_disconnect, (("--trials", {"type": int}),)),
+}
 
 
 @dataclass
 class Scenario:
-    """A runnable evaluation configuration.
+    """A runnable evaluation configuration: a bench of ``BENCHES`` and
+    keyword arguments for its function.
 
     Identical (scenario, seed) pairs produce bit-identical CSV in
     simulated mode.
@@ -417,23 +448,10 @@ class Scenario:
     params: dict = field(default_factory=dict)
 
     def run(self) -> list[Row]:
-        if self.bench not in BENCH_NAMES:
+        if self.bench not in BENCHES:
             raise ValueError(f"unknown bench {self.bench!r}")
-        if self.bench == "audio":
-            buffer_ms = self.params.get("buffer_ms", 7.0)
-            extra = {k: v for k, v in self.params.items() if k != "buffer_ms"}
-            return [bench_audio(buffer_ms, self.link, seed=self.seed, **extra)]
-        if self.bench == "camera":
-            mode = self.params.get("mode", "stream")
-            extra = {k: v for k, v in self.params.items() if k != "mode"}
-            return [bench_camera(mode, link=self.link, seed=self.seed, **extra)]
-        if self.bench == "sensor":
-            return [bench_sensor(self.link, seed=self.seed, **self.params)]
-        if self.bench == "modem":
-            return [bench_modem(link=self.link, seed=self.seed, **self.params)]
-        if self.bench == "copy":
-            return [bench_copy(link=self.link, seed=self.seed, **self.params)]
-        return bench_disconnect(self.link, seed=self.seed, **self.params)
+        rows = BENCHES[self.bench][0](link=self.link, seed=self.seed, **self.params)
+        return rows if isinstance(rows, list) else [rows]
 
     def to_csv(self) -> str:
         return rows_to_csv(self.run())

@@ -22,11 +22,10 @@ from typing import Optional
 from . import bench, configure_logging_from_env
 from .client import Client, ClientConfig
 from .devices import ECHO_XFORM, POLLIN, default_devices
-from .dsm import Policy
 from .kernel import RealKernel
 from .server import Server, ServerConfig
-from .testbed import LINK_PRESETS
-from .wire import LinkConfig, TcpEndpoint
+from .testbed import LINK_PRESETS, resolve_link
+from .wire import TcpEndpoint
 
 
 def _add_link_flags(parser: argparse.ArgumentParser) -> None:
@@ -43,18 +42,6 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--optimize", choices=["on", "off"], default="on")
 
 
-def _resolve_link(args) -> str | LinkConfig:
-    if args.link_config:
-        return LinkConfig.from_file(args.link_config)
-    if args.link == "custom" or args.latency_ms is not None or args.throughput_mbps is not None:
-        latency = args.latency_ms if args.latency_ms is not None else 0.0
-        mbps: Optional[float] = args.throughput_mbps
-        if mbps is not None and mbps <= 0:
-            mbps = None
-        return LinkConfig.mbps(latency, mbps)
-    return args.link
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rio", description="Remote device sharing: benchmarks and TCP stubs")
@@ -62,37 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a simulated benchmark, emit CSV")
     bsub = b.add_subparsers(dest="bench", required=True)
-
-    audio = bsub.add_parser("audio")
-    _add_link_flags(audio)
-    audio.add_argument("--buffer-ms", type=float, default=7.0)
-    audio.add_argument("--direction", choices=["out", "in"], default="out")
-
-    camera = bsub.add_parser("camera")
-    _add_link_flags(camera)
-    camera.add_argument("--mode", choices=["stream", "capture"], default="stream")
-    camera.add_argument("--resolution", default="vga",
-                        help="vga|720p|1080p or WIDTHxHEIGHT")
-    camera.add_argument("--frames", type=int, default=1000)
-    camera.add_argument("--dsm", choices=["invalidate", "push"], default="push")
-    camera.add_argument("--buffers", type=int, default=3)
-
-    sensor = bsub.add_parser("sensor")
-    _add_link_flags(sensor)
-    sensor.add_argument("--samples", type=int, default=200)
-
-    modem = bsub.add_parser("modem")
-    _add_link_flags(modem)
-    modem.add_argument("--kind", choices=["call", "sms"], default="call")
-
-    copyb = bsub.add_parser("copy")
-    _add_link_flags(copyb)
-    copyb.add_argument("--mode", choices=["optimized", "unoptimized"],
-                       default="optimized")
-
-    disc = bsub.add_parser("disconnect")
-    _add_link_flags(disc)
-    disc.add_argument("--trials", type=int, default=50)
+    for name, (_, flags) in bench.BENCHES.items():
+        # A bench flag left out is left out of the namespace: the bench
+        # function's default applies.
+        parser_b = bsub.add_parser(name, argument_default=argparse.SUPPRESS)
+        _add_link_flags(parser_b)
+        for flag, options in flags:
+            parser_b.add_argument(flag, **options)
 
     serve = sub.add_parser("serve", help="host devices over TCP")
     serve.add_argument("--port", type=int, default=7710)
@@ -111,23 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_bench(args) -> list[bench.Row]:
-    link = _resolve_link(args)
-    if args.bench == "audio":
-        params = {"buffer_ms": args.buffer_ms, "direction": args.direction}
-    elif args.bench == "camera":
-        params = {"mode": args.mode, "resolution": args.resolution,
-                  "n_frames": args.frames, "buffers": args.buffers,
-                  "dsm": Policy.UPDATE_PUSH if args.dsm == "push" else Policy.INVALIDATE}
-    elif args.bench == "sensor":
-        params = {"n_samples": args.samples, "optimize": args.optimize == "on"}
-    elif args.bench == "modem":
-        params = {"kind": args.kind}
-    elif args.bench == "copy":
-        params = {"mode": args.mode if args.optimize == "on" else "unoptimized"}
-    elif args.bench == "disconnect":
-        params = {"trials": args.trials}
-    else:
-        raise SystemExit(2)
+    # What is left after the shared flags are the bench's own parameters.
+    params = dict(vars(args))
+    for shared in ("command", "bench", "link", "latency_ms", "throughput_mbps",
+                   "link_config", "seed"):
+        del params[shared]
+    params["optimize"] = args.optimize == "on"
+    link = resolve_link(args.link, args.latency_ms, args.throughput_mbps, args.link_config)
     return bench.Scenario(args.bench, link, args.seed, params).run()
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import struct
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Awaitable, Callable, Optional
 
@@ -46,6 +45,7 @@ from .wire import (
     Endpoint,
     FileOp,
     FileOpRequest,
+    Heartbeat,
     Kind,
     Message,
     OpenRequest,
@@ -66,9 +66,7 @@ class OpenError(RioError):
         super().__init__(f"open {device_class!r} failed with errno {errno}")
 
 
-@dataclass
-class ClientConfig(SessionConfig):
-    rtt_alpha: float = 0.125
+ClientConfig = SessionConfig  # the client has no settings of its own
 
 
 class RttEstimator:
@@ -235,7 +233,7 @@ class Client:
 class ClientSession(Peer):
     def __init__(self, client: Client, session_id: int, endpoint: Endpoint) -> None:
         super().__init__(session_id, endpoint,
-                         dsmmod.DsmNode(dsmmod.DsmNode.CLIENT, self._send_coherence), {
+                         dsmmod.DsmNode(dsmmod.DsmNode.CLIENT, self._send), {
                              Kind.HEARTBEAT_ACK: self._on_heartbeat_ack,
                              Kind.FILE_OP_RESPONSE: self._on_file_op_response,
                              Kind.COPY_REQUEST: self._serve_copy,
@@ -245,7 +243,7 @@ class ClientSession(Peer):
         self.kernel = client.kernel
         self.config = client.config
         endpoint.on_message = self.on_message
-        self.estimator = RttEstimator(self.config.rtt_alpha)
+        self.estimator = RttEstimator()
         self.handles: list[VirtualHandle] = []
         self.regions: dict[int, "MappedRegion"] = {}
         self.coverage_misses = 0
@@ -286,10 +284,10 @@ class ClientSession(Peer):
             self.coverage_misses += 1
             self.coverage_log.append((body.addr, body.length))
             data = self.client.arena.read(body.addr, body.length)
-            self._send(Kind.COPY_RESPONSE, CopyResponse(body.op_id, data))
+            self._send(CopyResponse(body.op_id, data))
         else:
             self.client.arena.write(body.addr, body.data)
-            self._send(Kind.COPY_RESPONSE, CopyResponse(body.op_id, b""))
+            self._send(CopyResponse(body.op_id, b""))
 
     # -- heartbeats ----------------------------------------------------------
 
@@ -302,7 +300,7 @@ class ClientSession(Peer):
                     self._declare_disconnect("heartbeat timeout")
                     return
                 self._hb_sent[self._out_seq[Channel.HEARTBEAT]] = now
-                self._send(Kind.HEARTBEAT, None)
+                self._send(Heartbeat())
                 self._beats += 1
                 await self.kernel.sleep(interval)
         except Cancelled:
@@ -326,7 +324,7 @@ class ClientSession(Peer):
         still waiting for a reply fails with ``DisconnectedError``."""
         if not self.live:
             return
-        self._send(Kind.CLEANUP, CleanupNotice(cause=2))
+        self._send(CleanupNotice(cause=2))
         self.live = False
         for handle in self.handles:
             if handle.state is CONNECTED:
@@ -351,7 +349,7 @@ class ClientSession(Peer):
             raise DisconnectedError(device_class)
         fut = Future(f"open-{device_class}")
         self._open_queue.append(fut)
-        self._send(Kind.OPEN, OpenRequest(device_class, flags))
+        self._send(OpenRequest(flags, device_class))
         ack = await fut
         if not ack.ok:
             raise OpenError(device_class, ack.errno)
@@ -365,7 +363,7 @@ class ClientSession(Peer):
         if not self.live:
             raise DisconnectedError(detail="session closed")
         fut = self._expect(req.op_id)
-        self._send(Kind.FILE_OP_REQUEST, req)
+        self._send(req)
         return await fut
 
     def next_op_id(self) -> int:

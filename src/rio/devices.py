@@ -160,11 +160,8 @@ class RegionRef:
 class Descriptor:
     """Per-open state; devices subclass or attach attributes freely."""
 
-    _next_id = 1
-
-    def __init__(self) -> None:
-        self.desc_id = Descriptor._next_id
-        Descriptor._next_id += 1
+    def __init__(self, desc_id: int) -> None:
+        self.desc_id = desc_id
         self.pollers: list[tuple[Future, int]] = []
         self.closed = False
 
@@ -181,7 +178,7 @@ class Device:
         self.op_log.append((op, desc.desc_id if desc else None))
 
     async def open(self, flags: int = 0) -> Descriptor:
-        desc = Descriptor()
+        desc = Descriptor(next(self.kernel.descriptor_ids))
         self.log("open", desc)
         return desc
 

@@ -17,6 +17,7 @@ dependency on asyncio.
 from __future__ import annotations
 
 import heapq
+import itertools
 import select
 import time
 from typing import Any, Callable, Optional
@@ -190,6 +191,9 @@ class Kernel:
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._tie = 0
         self._now = 0.0
+        # Numbers for the device-file descriptors opened under this kernel:
+        # unique across its devices, and the same in every run.
+        self.descriptor_ids = itertools.count(1)
 
     # -- clock ---------------------------------------------------------
 

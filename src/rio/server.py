@@ -65,11 +65,12 @@ CAUSE_LINK_DOWN = "LinkDown"
 CAUSE_CLIENT_CLOSE = "ClientClose"
 _CAUSE_BY_CODE = {0: CAUSE_LINK_DOWN, 1: CAUSE_HEARTBEAT_TIMEOUT, 2: CAUSE_CLIENT_CLOSE}
 
+COPY_ROUND_LIMIT = 16  # per-op guard against pathological devices
+
 
 @dataclass
 class ServerConfig(SessionConfig):
     dma_policy: dsmmod.Policy = dsmmod.Policy.UPDATE_PUSH  # framesource maps + global buffers
-    copy_round_limit: int = 16  # per-op guard against pathological devices
 
 
 @dataclass
@@ -171,7 +172,7 @@ class _MappedPagesStore(dsmmod.PageStore):
 class ServerSession(Peer):
     def __init__(self, server: Server, session_id: int, endpoint: Endpoint) -> None:
         super().__init__(session_id, endpoint,
-                         dsmmod.DsmNode(dsmmod.DsmNode.SERVER, self._send_coherence), {
+                         dsmmod.DsmNode(dsmmod.DsmNode.SERVER, self._send), {
                              Kind.HEARTBEAT: self._on_heartbeat,
                              Kind.OPEN: self._on_open,
                              Kind.CLEANUP: self._on_cleanup,
@@ -206,7 +207,7 @@ class ServerSession(Peer):
 
     def _on_heartbeat(self, msg: Message) -> None:
         self.last_heartbeat = self.kernel.now()
-        self._send(Kind.HEARTBEAT_ACK, HeartbeatAck(msg.seq))
+        self._send(HeartbeatAck(msg.seq))
 
     def _on_open(self, msg: Message) -> None:
         self._spawn_worker(self._handle_open(decode_body(msg)), "open")
@@ -232,7 +233,7 @@ class ServerSession(Peer):
     async def _handle_open(self, body: OpenRequest) -> None:
         device = self.server.devices.get(body.device_class)
         if device is None:
-            self._send(Kind.OPEN_ACK, OpenAck(False, 0, ENODEV))
+            self._send(OpenAck(False, 0, ENODEV))
             return
         try:
             desc = await device.open(body.flags)
@@ -240,17 +241,17 @@ class ServerSession(Peer):
             raise
         except Exception:
             log.exception("open of %s failed", body.device_class)
-            self._send(Kind.OPEN_ACK, OpenAck(False, 0, EIO))
+            self._send(OpenAck(False, 0, EIO))
             return
         self.descs[desc.desc_id] = _DescEntry(device, desc, Lock(self.kernel))
-        delivered = self._send(Kind.OPEN_ACK, OpenAck(True, desc.desc_id, 0))
+        delivered = self._send(OpenAck(True, desc.desc_id, 0))
         device.response_delivered(desc, delivered)
 
     async def _run_op(self, req: FileOpRequest) -> None:
         self.server.stats.ops += 1
         entry = self.descs.get(req.desc)
         if entry is None:
-            self._send(Kind.FILE_OP_RESPONSE, FileOpResponse(req.op_id, -EBADF))
+            self._send(FileOpResponse(req.op_id, -EBADF))
             return
         ctx = _OpContext(req.op_id, req.desc, req.prefetch)
         self.live_ops[req.op_id] = ctx
@@ -276,8 +277,7 @@ class ServerSession(Peer):
         if not self.live:
             return
         self.server.stats.batch_bytes += sum(len(d) for _, d in batch)
-        delivered = self._send(Kind.FILE_OP_RESPONSE,
-                               FileOpResponse(req.op_id, result, batch))
+        delivered = self._send(FileOpResponse(req.op_id, result, batch))
         entry.device.response_delivered(entry.desc, delivered)
 
     # The locked ops share one signature.  The device ops return the
@@ -379,14 +379,14 @@ class ServerSession(Peer):
 
     async def _copy_round(self, ctx: _OpContext, direction: CopyDir, addr: int, length: int,
                           data: bytes = b"") -> bytes:
-        """One copy round trip to the client, at most ``copy_round_limit`` per op."""
-        if ctx.rounds >= self.config.copy_round_limit:
-            raise OpAborted(f"op {ctx.op_id} exceeded {self.config.copy_round_limit} copy rounds")
+        """One copy round trip to the client, at most ``COPY_ROUND_LIMIT`` per op."""
+        if ctx.rounds >= COPY_ROUND_LIMIT:
+            raise OpAborted(f"op {ctx.op_id} exceeded {COPY_ROUND_LIMIT} copy rounds")
         ctx.rounds += 1
         copy_id = self._copy_id
         self._copy_id += 1
         fut = self._expect(copy_id)
-        self._send(Kind.COPY_REQUEST, CopyRequest(copy_id, direction, addr, length, data))
+        self._send(CopyRequest(copy_id, direction, addr, length, data))
         return await fut
 
     # -- global buffers ----------------------------------------------------------

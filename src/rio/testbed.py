@@ -47,6 +47,22 @@ def link_preset(link: str | LinkConfig) -> LinkConfig:
     return dataclasses.replace(preset)
 
 
+def resolve_link(link: str = "lan", latency_ms: Optional[float] = None,
+                 throughput_mbps: Optional[float] = None,
+                 link_config: Optional[str] = None) -> str | LinkConfig:
+    """The link that the CLI's link flags name: a ``LinkConfig`` read from
+    the ``link_config`` file, or built for "custom" or an explicit latency
+    or throughput (a throughput of 0 or less is unlimited); else the preset
+    name itself."""
+    if link_config:
+        return LinkConfig.from_file(link_config)
+    if link == "custom" or latency_ms is not None or throughput_mbps is not None:
+        if throughput_mbps is not None and throughput_mbps <= 0:
+            throughput_mbps = None
+        return LinkConfig.mbps(latency_ms or 0.0, throughput_mbps)
+    return link
+
+
 class SimWorld:
     def __init__(self, link: str | LinkConfig = "loopback", *, seed: int = 0,
                  optimize: bool = True, dsm_policy: Policy = Policy.UPDATE_PUSH,

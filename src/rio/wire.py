@@ -14,20 +14,27 @@ a protocol error and the session must be torn down.
 Where kind and channel are checked: once per received frame, in
 ``decode_frame``, by one lookup of the kind byte in a 256-entry table of
 valid (kind, channel) pairs, which also turns the bytes into enum members.
-Senders never choose a channel: they derive it from the kind through
-``KIND_CHANNEL``.  The ``Message`` constructor checks the pair as well, by
+Senders never choose a channel: ``Peer._send`` takes it from the body's row
+of ``_LAYOUTS``.  The ``Message`` constructor checks the pair as well, by
 one ``KIND_CHANNEL`` lookup, so no ``Message`` holds a mismatched pair.
+
+Bodies: one table, ``_LAYOUTS``, gives each kind its channel, its body
+type, a fixed ``struct`` layout, one tail encoding and the enum and flag
+fields to check.  ``encode_body`` and ``decode_body`` serve every row; a
+payload decodes exactly, every byte accounted for, or raises
+``ProtocolError``.
 
 Copies: a frame's bytes are copied once into the frame, by the one join
 or concatenation in ``encode_frame``, and once out of it, when
-``decode_frame`` takes the payload.  A body may be sent as a tuple of its
-parts (``PageUpdateBatch.parts``), which ``encode_frame`` joins with the
-header, so a pushed page goes from the device buffer into the frame in
-that one copy.  Page bytes decoded from a payload stay views of it until
-the receiver installs them.
+``decode_frame`` takes the payload.  An update batch is sent as a tuple of
+its parts (the head, then each page's index and buffer), which
+``encode_frame`` joins with the header, so a pushed page goes from the
+device buffer into the frame in that one copy.  Page bytes decoded from a
+payload stay views of it until the receiver installs them.
 
 Sessions: ``Peer`` is the session core of both stubs.  It numbers the
-frames it sends per channel, and tears the session down (``_fault``) on a
+frames it sends per channel, derives the kind and channel of each body it
+sends from the table, and tears the session down (``_fault``) on a
 sequence gap or on any ``ProtocolError`` while handling a frame: a bad
 payload, a coherence fault, or a kind missing from the side's handler
 table.  It also holds the session's DSM engine and its pending replies.
@@ -50,8 +57,9 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .kernel import Future, Kernel
@@ -87,34 +95,6 @@ class Kind(IntEnum):
     CLEANUP = 11
     OPEN = 12
     OPEN_ACK = 13
-
-
-KIND_CHANNEL = {
-    Kind.FILE_OP_REQUEST: Channel.FILE_OP,
-    Kind.FILE_OP_RESPONSE: Channel.FILE_OP,
-    Kind.COPY_REQUEST: Channel.FILE_OP,
-    Kind.COPY_RESPONSE: Channel.FILE_OP,
-    Kind.PAGE_FETCH: Channel.COHERENCE,
-    Kind.PAGE_DATA: Channel.COHERENCE,
-    Kind.PAGE_INVALIDATE: Channel.COHERENCE,
-    Kind.PAGE_UPDATE_BATCH: Channel.COHERENCE,
-    Kind.HEARTBEAT: Channel.HEARTBEAT,
-    Kind.HEARTBEAT_ACK: Channel.HEARTBEAT,
-    Kind.CLEANUP: Channel.CONTROL,
-    Kind.OPEN: Channel.CONTROL,
-    Kind.OPEN_ACK: Channel.CONTROL,
-}
-
-# The receive-side check: kind byte -> (Kind, Channel), or None if unknown.
-_FRAME_PAIRS = tuple((Kind(b), KIND_CHANNEL[b]) if b in KIND_CHANNEL else None
-                     for b in range(256))
-
-COHERENCE = Channel.COHERENCE
-COHERENCE_KINDS = frozenset(k for k, c in KIND_CHANNEL.items() if c == Channel.COHERENCE)
-
-# Kinds that open a request/response pair on the file-operation channel.
-REQUEST_KINDS = (Kind.FILE_OP_REQUEST, Kind.COPY_REQUEST)
-RESPONSE_KINDS = (Kind.FILE_OP_RESPONSE, Kind.COPY_RESPONSE)
 
 
 class ProtocolError(Exception):
@@ -197,7 +177,7 @@ class Framer:
 
 
 # ---------------------------------------------------------------------------
-# Payload codecs
+# Bodies: one table row per kind
 # ---------------------------------------------------------------------------
 
 
@@ -217,42 +197,16 @@ class PollMode(IntEnum):
     TIMEOUT = 2
 
 
-_FILE_OP_FIXED = struct.Struct(">QQBQIIQQBdQ")
-_ENTRY_HEAD = struct.Struct(">QI")
+class CopyDir(IntEnum):
+    FROM_USER = 1  # client memory -> server
+    TO_USER = 2    # server data -> client memory
 
 
-def _pack_entries(entries: list[tuple[int, bytes]]) -> bytes:
-    parts = [struct.pack(">H", len(entries))]
-    for addr, data in entries:
-        parts.append(_ENTRY_HEAD.pack(addr, len(data)))
-        parts.append(data)
-    return b"".join(parts)
+# A body declares its fields in wire order; a body whose kind has a tail
+# (see ``_LAYOUTS``) holds it in its last field.
 
 
-def _unpack_entries(payload: bytes, off: int) -> list[tuple[int, bytes]]:
-    """The entry list that starts at ``off`` and ends the payload."""
-    (count,) = struct.unpack_from(">H", payload, off)
-    off += 2
-    size = len(payload)
-    entries = []
-    for _ in range(count):
-        addr, n = _ENTRY_HEAD.unpack_from(payload, off)
-        off += _ENTRY_HEAD.size
-        if off + n > size:
-            raise ProtocolError(f"entry of {n} bytes runs past a {size}-byte payload")
-        entries.append((addr, bytes(payload[off : off + n])))
-        off += n
-    if off != size:
-        raise ProtocolError(f"{size - off} bytes after the last entry")
-    return entries
-
-
-def _check_end(payload: bytes, off: int) -> None:
-    if off != len(payload):
-        raise ProtocolError(f"{len(payload) - off} bytes after the last field")
-
-
-@dataclass
+@dataclass(slots=True)
 class FileOpRequest:
     op_id: int
     desc: int
@@ -267,47 +221,15 @@ class FileOpRequest:
     region: int = 0         # close_map target
     prefetch: list[tuple[int, bytes]] = field(default_factory=list)
 
-    kind = Kind.FILE_OP_REQUEST
 
-    def pack(self) -> bytes:
-        head = _FILE_OP_FIXED.pack(
-            self.op_id, self.desc, self.op, self.addr, self.length, self.cmd,
-            self.offset, self.events, self.mode, self.budget_ms, self.region,
-        )
-        return head + _pack_entries(self.prefetch)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "FileOpRequest":
-        vals = _FILE_OP_FIXED.unpack_from(payload, 0)
-        entries = _unpack_entries(payload, _FILE_OP_FIXED.size)
-        return cls(vals[0], vals[1], FileOp(vals[2]), vals[3], vals[4], vals[5],
-                   vals[6], vals[7], vals[8], vals[9], vals[10], entries)
-
-
-@dataclass
+@dataclass(slots=True)
 class FileOpResponse:
     op_id: int
     result: int
     batch: list[tuple[int, bytes]] = field(default_factory=list)
 
-    kind = Kind.FILE_OP_RESPONSE
 
-    def pack(self) -> bytes:
-        return struct.pack(">Qq", self.op_id, self.result) + _pack_entries(self.batch)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "FileOpResponse":
-        op_id, result = struct.unpack_from(">Qq", payload, 0)
-        batch = _unpack_entries(payload, 16)
-        return cls(op_id, result, batch)
-
-
-class CopyDir(IntEnum):
-    FROM_USER = 1  # client memory -> server
-    TO_USER = 2    # server data -> client memory
-
-
-@dataclass
+@dataclass(slots=True)
 class CopyRequest:
     op_id: int
     direction: CopyDir
@@ -315,234 +237,230 @@ class CopyRequest:
     length: int
     data: bytes = b""  # TO_USER carries the bytes being written
 
-    kind = Kind.COPY_REQUEST
 
-    def pack(self) -> bytes:
-        return struct.pack(">QBQI", self.op_id, self.direction, self.addr, self.length) + self.data
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "CopyRequest":
-        op_id, direction, addr, length = struct.unpack_from(">QBQI", payload, 0)
-        direction = CopyDir(direction)
-        data = bytes(payload[21:])
-        # Only a write to the user carries bytes, exactly ``length`` of them.
-        if len(data) != (length if direction == CopyDir.TO_USER else 0):
-            raise ProtocolError(f"{direction.name} copy of {length} bytes "
-                                f"carries {len(data)} bytes")
-        return cls(op_id, direction, addr, length, data)
-
-
-@dataclass
+@dataclass(slots=True)
 class CopyResponse:
     op_id: int
     data: bytes = b""
 
-    kind = Kind.COPY_RESPONSE
 
-    def pack(self) -> bytes:
-        return struct.pack(">Q", self.op_id) + self.data
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "CopyResponse":
-        (op_id,) = struct.unpack_from(">Q", payload, 0)
-        return cls(op_id, bytes(payload[8:]))
-
-
-@dataclass
+@dataclass(slots=True)
 class PageFetch:
     region: int
     page: int
     want_ownership: bool = False
 
-    kind = Kind.PAGE_FETCH
 
-    def pack(self) -> bytes:
-        return struct.pack(">QIB", self.region, self.page, int(self.want_ownership))
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "PageFetch":
-        region, page, own = struct.unpack(">QIB", payload)
-        if own > 1:
-            raise ProtocolError(f"ownership flag {own} is neither 0 nor 1")
-        return cls(region, page, bool(own))
-
-
-_PAGE_DATA_HEAD = struct.Struct(">QI")
-
-
-@dataclass
+@dataclass(slots=True)
 class PageData:
     region: int
     page: int
     data: bytes
 
-    kind = Kind.PAGE_DATA
 
-    def pack(self) -> bytes:
-        return _PAGE_DATA_HEAD.pack(self.region, self.page) + self.data
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "PageData":
-        # The page stays a view of the payload; installing it is its copy.
-        if len(payload) != _PAGE_DATA_HEAD.size + PAGE_SIZE:
-            raise ProtocolError(f"page data of {len(payload) - _PAGE_DATA_HEAD.size} "
-                                f"bytes, not one {PAGE_SIZE}-byte page")
-        region, page = _PAGE_DATA_HEAD.unpack_from(payload, 0)
-        return cls(region, page, memoryview(payload)[_PAGE_DATA_HEAD.size :])
-
-
-@dataclass
+@dataclass(slots=True)
 class PageInvalidate:
     region: int
     pages: list[int]
 
-    kind = Kind.PAGE_INVALIDATE
 
-    def pack(self) -> bytes:
-        return struct.pack(">QH", self.region, len(self.pages)) + struct.pack(
-            f">{len(self.pages)}I", *self.pages
-        )
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "PageInvalidate":
-        region, count = struct.unpack_from(">QH", payload, 0)
-        _check_end(payload, 10 + 4 * count)
-        pages = list(struct.unpack_from(f">{count}I", payload, 10))
-        return cls(region, pages)
-
-
-_BATCH_HEAD = struct.Struct(">QH")
-_PAGE_INDEX = struct.Struct(">I")
-
-
-@dataclass
+@dataclass(slots=True)
 class PageUpdateBatch:
     region: int
     entries: list[tuple[int, bytes]]  # (page index, page bytes or a view of them)
 
-    kind = Kind.PAGE_UPDATE_BATCH
 
-    def parts(self) -> tuple:
-        """The payload as buffers in order: the head, then each page's index
-        and bytes.  The page buffers are the entries' own, not copies."""
-        parts = [_BATCH_HEAD.pack(self.region, len(self.entries))]
-        append, index = parts.append, _PAGE_INDEX.pack
-        for page, data in self.entries:
-            append(index(page))
-            append(data)
-        return tuple(parts)
-
-    def pack(self) -> bytes:
-        return b"".join(self.parts())
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "PageUpdateBatch":
-        # Page bytes stay views of the payload; installing them is their copy.
-        region, count = _BATCH_HEAD.unpack_from(payload, 0)
-        if len(payload) != _BATCH_HEAD.size + count * (4 + PAGE_SIZE):
-            raise ProtocolError(f"update batch of {len(payload)} bytes does not hold "
-                                f"exactly {count} {PAGE_SIZE}-byte pages")
-        view = memoryview(payload)
-        off = _BATCH_HEAD.size
-        entries = []
-        for _ in range(count):
-            (page,) = _PAGE_INDEX.unpack_from(payload, off)
-            off += 4
-            entries.append((page, view[off : off + PAGE_SIZE]))
-            off += PAGE_SIZE
-        return cls(region, entries)
+@dataclass(slots=True)
+class Heartbeat:
+    """No fields: the ack echoes the heartbeat frame's seq."""
 
 
-@dataclass
+@dataclass(slots=True)
+class HeartbeatAck:
+    echo_seq: int
+
+
+@dataclass(slots=True)
+class CleanupNotice:
+    cause: int = 0
+
+
+@dataclass(slots=True)
 class OpenRequest:
+    flags: int
     device_class: str
-    flags: int = 0
-
-    kind = Kind.OPEN
-
-    def pack(self) -> bytes:
-        name = self.device_class.encode()
-        return struct.pack(">IH", self.flags, len(name)) + name
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "OpenRequest":
-        flags, n = struct.unpack_from(">IH", payload, 0)
-        _check_end(payload, 6 + n)
-        return cls(payload[6:].decode(), flags)
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenAck:
     ok: bool
     desc: int = 0
     errno: int = 0
 
-    kind = Kind.OPEN_ACK
 
-    def pack(self) -> bytes:
-        return struct.pack(">BQi", int(self.ok), self.desc, self.errno)
+# Tails: what follows a body's fixed fields, up to the end of the payload.
+# A counted tail's count is the last field of its kind's head layout.
+NO_TAIL = 0
+RAW = 1       # the rest of the payload
+PAGE = 2      # exactly one page
+ENTRIES = 3   # count x (u64 address, u32 length, that many bytes)
+U32S = 4      # count x u32
+NAME = 5      # count bytes of UTF-8
+PAGES = 6     # count x (u32 page index, one page)
 
-    @classmethod
-    def unpack(cls, payload: bytes) -> "OpenAck":
-        ok, desc, errno = struct.unpack(">BQi", payload)
-        if ok > 1:
-            raise ProtocolError(f"ok flag {ok} is neither 0 nor 1")
-        return cls(bool(ok), desc, errno)
-
-
-@dataclass
-class HeartbeatAck:
-    echo_seq: int
-
-    kind = Kind.HEARTBEAT_ACK
-
-    def pack(self) -> bytes:
-        return struct.pack(">Q", self.echo_seq)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "HeartbeatAck":
-        return cls(struct.unpack(">Q", payload)[0])
+_FLAG = {0: False, 1: True}
 
 
-@dataclass
-class CleanupNotice:
-    cause: int = 0
-
-    kind = Kind.CLEANUP
-
-    def pack(self) -> bytes:
-        return struct.pack(">B", self.cause)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "CleanupNotice":
-        return cls(struct.unpack(">B", payload)[0])
+def _values(enum) -> dict:
+    return {member.value: member for member in enum}
 
 
-_BODY_TYPES = {
-    Kind.FILE_OP_REQUEST: FileOpRequest,
-    Kind.FILE_OP_RESPONSE: FileOpResponse,
-    Kind.COPY_REQUEST: CopyRequest,
-    Kind.COPY_RESPONSE: CopyResponse,
-    Kind.PAGE_FETCH: PageFetch,
-    Kind.PAGE_DATA: PageData,
-    Kind.PAGE_INVALIDATE: PageInvalidate,
-    Kind.PAGE_UPDATE_BATCH: PageUpdateBatch,
-    Kind.OPEN: OpenRequest,
-    Kind.OPEN_ACK: OpenAck,
-    Kind.HEARTBEAT_ACK: HeartbeatAck,
-    Kind.CLEANUP: CleanupNotice,
-}
+def _copy_data_fits(body: CopyRequest) -> bool:
+    """Only a write to the user carries bytes, exactly ``length`` of them."""
+    return len(body.data) == (body.length if body.direction == CopyDir.TO_USER else 0)
+
+
+_LAYOUTS = (
+    # kind, its channel, body type, head layout, tail, {head field index: allowed values},
+    # and a rule the whole body must keep
+    (Kind.FILE_OP_REQUEST, Channel.FILE_OP, FileOpRequest, ">QQBQIIQQBdQH", ENTRIES,
+     {2: _values(FileOp)}, None),
+    (Kind.FILE_OP_RESPONSE, Channel.FILE_OP, FileOpResponse, ">QqH", ENTRIES, {}, None),
+    (Kind.COPY_REQUEST, Channel.FILE_OP, CopyRequest, ">QBQI", RAW,
+     {1: _values(CopyDir)}, _copy_data_fits),
+    (Kind.COPY_RESPONSE, Channel.FILE_OP, CopyResponse, ">Q", RAW, {}, None),
+    (Kind.PAGE_FETCH, Channel.COHERENCE, PageFetch, ">QIB", NO_TAIL, {2: _FLAG}, None),
+    (Kind.PAGE_DATA, Channel.COHERENCE, PageData, ">QI", PAGE, {}, None),
+    (Kind.PAGE_INVALIDATE, Channel.COHERENCE, PageInvalidate, ">QH", U32S, {}, None),
+    (Kind.PAGE_UPDATE_BATCH, Channel.COHERENCE, PageUpdateBatch, ">QH", PAGES, {}, None),
+    (Kind.HEARTBEAT, Channel.HEARTBEAT, Heartbeat, ">", NO_TAIL, {}, None),
+    (Kind.HEARTBEAT_ACK, Channel.HEARTBEAT, HeartbeatAck, ">Q", NO_TAIL, {}, None),
+    (Kind.CLEANUP, Channel.CONTROL, CleanupNotice, ">B", NO_TAIL, {}, None),
+    (Kind.OPEN, Channel.CONTROL, OpenRequest, ">IH", NAME, {}, None),
+    (Kind.OPEN_ACK, Channel.CONTROL, OpenAck, ">BQi", NO_TAIL, {0: _FLAG}, None),
+)
+
+
+class _Row:
+    __slots__ = ("kind", "channel", "type", "fields", "head", "tail", "checks", "rule")
+
+    def __init__(self, kind, channel, body_type, layout, tail, checks, rule) -> None:
+        self.kind = kind
+        self.channel = channel
+        self.type = body_type
+        names = tuple(f.name for f in fields(body_type))
+        # body -> the tuple of its field values
+        self.fields = (attrgetter(*names) if len(names) > 1
+                       else lambda body: tuple(getattr(body, name) for name in names))
+        self.head = struct.Struct(layout)
+        self.tail = tail
+        self.checks = tuple(checks.items())
+        self.rule = rule
+        body_type.kind = kind
+
+
+_ROWS = {kind: _Row(kind, *rest) for kind, *rest in _LAYOUTS}
+_ROW_OF_TYPE = {row.type: row for row in _ROWS.values()}
+KIND_CHANNEL = {kind: row.channel for kind, row in _ROWS.items()}
+# The receive-side check: kind byte -> (Kind, Channel), or None if unknown.
+_FRAME_PAIRS = tuple((Kind(b), KIND_CHANNEL[b]) if b in KIND_CHANNEL else None
+                     for b in range(256))
+COHERENCE_KINDS = frozenset(k for k, c in KIND_CHANNEL.items() if c == Channel.COHERENCE)
+# Kinds that close a request/response pair on the file-operation channel.
+RESPONSE_KINDS = (Kind.FILE_OP_RESPONSE, Kind.COPY_RESPONSE)
+_ENTRY_HEAD = struct.Struct(">QI")
+_PAGE_INDEX = struct.Struct(">I")
+_PAGE_ENTRY = _PAGE_INDEX.size + PAGE_SIZE
+
+
+def _payload(row: _Row, body):
+    """The payload of ``body``: bytes, or for a page batch a tuple of its
+    parts (the head, then each page's index and its buffer, not a copy),
+    which ``encode_frame`` joins with the frame header."""
+    vals = row.fields(body)
+    tail = row.tail
+    if tail == NO_TAIL:
+        return row.head.pack(*vals)
+    data = vals[-1]
+    if tail == RAW or tail == PAGE:
+        return row.head.pack(*vals[:-1]) + data
+    if tail == NAME:
+        data = data.encode()
+    head = row.head.pack(*vals[:-1], len(data))
+    if tail == NAME:
+        return head + data
+    if tail == U32S:
+        return head + struct.pack(f">{len(data)}I", *data)
+    if tail == ENTRIES:
+        parts = [head]
+        for addr, chunk in data:
+            parts += (_ENTRY_HEAD.pack(addr, len(chunk)), chunk)
+        return b"".join(parts)
+    parts = [head]
+    append, index = parts.append, _PAGE_INDEX.pack
+    for page, buf in data:
+        append(index(page))
+        append(buf)
+    return tuple(parts)
+
+
+def encode_body(body) -> bytes:
+    """The payload bytes of a body."""
+    payload = _payload(_ROW_OF_TYPE[body.__class__], body)
+    return payload if payload.__class__ is bytes else b"".join(payload)
 
 
 def decode_body(msg: Message):
-    """Decode a message payload into its typed body (None for heartbeats)."""
-    cls = _BODY_TYPES.get(msg.kind)
-    if cls is None:
-        return None
+    """The typed body of a message.  Every payload byte is accounted for, or
+    this raises ``ProtocolError``, so a body re-encodes to its payload.  Page
+    bytes stay views of the payload; installing them is their copy."""
+    row = _ROWS[msg.kind]
+    payload = msg.payload
+    head = row.head
+    size = len(payload)
     try:
-        return cls.unpack(msg.payload)
-    except (struct.error, ValueError, IndexError) as exc:
-        raise ProtocolError(f"bad {msg.kind.name} payload: {exc}") from None
+        vals = head.unpack_from(payload)
+        if row.checks:
+            vals = list(vals)
+            for i, allowed in row.checks:
+                vals[i] = allowed[vals[i]]
+        off = end = head.size
+        tail = row.tail
+        if tail == NO_TAIL:
+            data = None
+        elif tail == RAW:
+            end = size
+            data = bytes(payload[off:])
+        elif tail == PAGE:
+            end += PAGE_SIZE
+            data = memoryview(payload)[off:end]
+        else:
+            *vals, count = vals
+            if tail == ENTRIES:
+                data = []
+                for _ in range(count):
+                    addr, n = _ENTRY_HEAD.unpack_from(payload, end)
+                    end += _ENTRY_HEAD.size + n
+                    data.append((addr, bytes(payload[end - n : end])))
+            elif tail == U32S:
+                end += 4 * count
+                data = list(struct.unpack_from(f">{count}I", payload, off))
+            elif tail == NAME:
+                end += count
+                data = bytes(payload[off:end]).decode()
+            else:
+                end += count * _PAGE_ENTRY
+                view = memoryview(payload)
+                data = [(_PAGE_INDEX.unpack_from(payload, pos)[0], view[pos + 4 : pos + _PAGE_ENTRY])
+                        for pos in range(off, end, _PAGE_ENTRY)]
+    except (struct.error, KeyError, ValueError) as exc:
+        raise ProtocolError(f"bad {msg.kind.name} payload: {exc!r}") from None
+    if end != size:
+        raise ProtocolError(f"{msg.kind.name} payload of {size} bytes, {end} accounted for")
+    body = row.type(*vals) if tail == NO_TAIL else row.type(*vals, data)
+    if row.rule is not None and not row.rule(body):
+        raise ProtocolError(f"{msg.kind.name} body fails {row.rule.__name__}")
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +483,7 @@ class SessionConfig:
 
 class Peer:
     """One side of a session.  ``dsm`` is a ``DsmNode`` that sends through
-    ``_send_coherence``; ``handlers`` maps each non-coherence kind this side
+    ``_send``; ``handlers`` maps each non-coherence kind this side
     receives to a method taking the message.  Subclasses define ``_fault``.
     """
 
@@ -583,22 +501,16 @@ class Peer:
     def _fault(self) -> None:
         raise NotImplementedError
 
-    def _send(self, kind: Kind, body) -> float:
-        """Send ``body`` on its kind's channel; returns the delivery time."""
-        channel = KIND_CHANNEL[kind]
+    def _send(self, body) -> float:
+        """Send ``body`` on its kind's channel; returns the delivery time.
+        The endpoint encodes the frame before ``send`` returns, so the pages
+        of an update batch are read as they are now."""
+        row = _ROW_OF_TYPE[body.__class__]
+        channel = row.channel
         seq = self._out_seq[channel]
         self._out_seq[channel] = seq + 1
-        return self.endpoint.send(Message(self.session_id, seq, channel, kind,
-                                          body.pack() if body is not None else b""))
-
-    def _send_coherence(self, body) -> None:
-        """Send a DSM body.  An update batch goes out as its parts, so its
-        pages are copied once, into the frame; the endpoint encodes the frame
-        before ``send`` returns, so the pages are read as they are now."""
-        seq = self._out_seq[COHERENCE]
-        self._out_seq[COHERENCE] = seq + 1
-        payload = body.parts() if body.__class__ is PageUpdateBatch else body.pack()
-        self.endpoint.send(Message(self.session_id, seq, COHERENCE, body.kind, payload))
+        return self.endpoint.send(Message(self.session_id, seq, channel, row.kind,
+                                          _payload(row, body)))
 
     def on_message(self, msg: Message) -> None:
         if not self.live:

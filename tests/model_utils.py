@@ -39,6 +39,7 @@ from rio.wire import (
     PageUpdateBatch,
     SimulatedLink,
     decode_body,
+    encode_body,
 )
 
 RW, RO, INV = PageState.READ_WRITE, PageState.READ_ONLY, PageState.INVALID
@@ -318,7 +319,7 @@ class _WireNode:
         endpoint.on_message = self._recv
 
     def _send(self, body) -> None:
-        msg = Message(1, self.seq, Channel.COHERENCE, body.kind, body.pack())
+        msg = Message(1, self.seq, Channel.COHERENCE, body.kind, encode_body(body))
         self.seq += 1
         self.endpoint.send(msg)
 

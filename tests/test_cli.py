@@ -106,3 +106,15 @@ def test_camera_stream_frames_within_warmup_is_an_error(frames):
                                  "--frames", frames])
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "warmup" in err
+
+
+def test_optimize_off_reaches_the_audio_bench():
+    def row(*flags):
+        rc, out = capture(["bench", "audio", "--buffer-ms", "7", *flags])
+        assert rc == 0
+        fields = out.strip().splitlines()[1].split(",")
+        return float(fields[3]), int(fields[4])
+
+    (rate_on, trips_on), (rate_off, trips_off) = row(), row("--optimize", "off")
+    assert trips_off > trips_on
+    assert rate_off < rate_on

@@ -13,6 +13,7 @@ from rio.devices import (
     frame_pattern,
 )
 from rio.testbed import SimWorld
+from rio.wire import encode_frame
 
 
 def test_all_devices_concurrently_on_one_session():
@@ -100,3 +101,29 @@ def test_all_devices_concurrently_on_one_session():
     assert world.session.coverage_misses == 0
     assert all(v == 0 for v in world.census().values())
     assert world.session.estimator.samples >= 3  # heartbeats kept flowing
+
+
+def _echo_frame_stream(seed: int) -> list[bytes]:
+    """Every frame an echodev open and one ECHO_XFORM put on the link."""
+    world = SimWorld("lan", seed=seed)
+    frames = []
+    send = world.link._send
+
+    def record(direction, msg):
+        frames.append(encode_frame(msg))
+        return send(direction, msg)
+
+    world.link._send = record
+
+    async def main():
+        handle = await world.session.open("echodev")
+        arg = world.client.alloc(24)
+        assert await handle.ioctl(ECHO_XFORM, arg) == 0
+
+    world.run(main())
+    return frames
+
+
+def test_same_scenario_and_seed_send_the_same_bytes_whatever_ran_before():
+    first = _echo_frame_stream(3)
+    assert _echo_frame_stream(3) == first

@@ -32,6 +32,7 @@ from rio.wire import (
     FileOp,
     FileOpRequest,
     FileOpResponse,
+    Heartbeat,
     HeartbeatAck,
     Kind,
     Message,
@@ -39,6 +40,7 @@ from rio.wire import (
     OpenRequest,
     SimulatedLink,
     decode_body,
+    encode_body,
 )
 
 
@@ -430,7 +432,7 @@ def test_sequence_gap_tears_down_session():
         world.session._out_seq[Channel.FILE_OP] += 1
         from rio.wire import FileOp, FileOpRequest
         req = FileOpRequest(99, 1, FileOp.RELEASE)
-        world.session._send(Kind.FILE_OP_REQUEST, req)
+        world.session._send(req)
         await world.kernel.sleep(200)
 
     world.run(main())
@@ -466,9 +468,9 @@ _NEVER_RECEIVED = {
     "client": [
         (Kind.FILE_OP_REQUEST, FileOpRequest(1, 1, FileOp.READ)),
         (Kind.COPY_RESPONSE, CopyResponse(1)),
-        (Kind.HEARTBEAT, None),
+        (Kind.HEARTBEAT, Heartbeat()),
         (Kind.CLEANUP, CleanupNotice(0)),
-        (Kind.OPEN, OpenRequest("echodev")),
+        (Kind.OPEN, OpenRequest(0, "echodev")),
     ],
 }
 
@@ -487,7 +489,7 @@ def test_kind_the_receiver_never_gets_tears_the_session_down(receiver, kind, bod
                           else (server_session, world.session))
         unexpected = set(Kind) - COHERENCE_KINDS - set(target._handlers)
         assert unexpected == {k for k, _ in _NEVER_RECEIVED[receiver]}
-        sender._send(kind, body)
+        sender._send(body)
         await world.kernel.sleep(50)
 
     with caplog.at_level(logging.INFO, logger="rio.client"):
@@ -549,7 +551,7 @@ def test_cleanup_and_coverage_logs_keep_the_last_op_log_max_entries():
     last = OP_LOG_MAX + 11
     for sid in range(2, last + 1):  # each notice opens and closes one session
         world.link.a.send(Message(sid, 0, Channel.CONTROL, Kind.CLEANUP,
-                                  CleanupNotice(2).pack()))
+                                  encode_body(CleanupNotice(2))))
     world.advance(50)
     cleanups = world.server.stats.cleanups
     assert len(cleanups) == OP_LOG_MAX

@@ -1,6 +1,7 @@
 """Framing, payload codecs, and the simulated link timing model."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from rio.wire import (
     Framer,
     HEADER,
     HEADER_SIZE,
+    Heartbeat,
     HeartbeatAck,
     Kind,
     KIND_CHANNEL,
@@ -34,7 +36,9 @@ from rio.wire import (
     ProtocolError,
     SimulatedLink,
     decode_body,
+    _LAYOUTS,
     decode_frame,
+    encode_body,
     encode_frame,
 )
 
@@ -179,12 +183,12 @@ def test_framer_reassembles_any_chunking(kinds, seed):
 def test_file_op_request_codec():
     req = FileOpRequest(7, 3, FileOp.IOCTL, addr=0x1000, cmd=0xC018_4501,
                         prefetch=[(0x1000, b"hdr"), (0x9000, b"\x00" * 9)])
-    assert FileOpRequest.unpack(req.pack()) == req
+    assert _decode(Kind.FILE_OP_REQUEST, encode_body(req)) == req
 
 
 def test_file_op_response_codec_preserves_batch_order():
     resp = FileOpResponse(9, -11, batch=[(4, b"zz"), (2, b"a"), (4, b"q")])
-    assert FileOpResponse.unpack(resp.pack()) == resp
+    assert _decode(Kind.FILE_OP_RESPONSE, encode_body(resp)) == resp
 
 
 def test_copy_and_page_codecs():
@@ -195,17 +199,16 @@ def test_copy_and_page_codecs():
         PageData(5, 17, bytes(4096)),
         PageInvalidate(5, [1, 2, 9]),
         PageUpdateBatch(5, [(0, bytes(4096)), (3, bytes(4096))]),
-        OpenRequest("sensor", 2),
+        OpenRequest(2, "sensor"),
         OpenAck(False, 0, 19),
     ):
-        msg = Message(1, 0, KIND_CHANNEL[body.kind], body.kind, body.pack())
-        assert decode_body(msg) == body
+        assert _decode(body.kind, encode_body(body)) == body
 
 
 def test_update_batch_decoded_from_a_reused_buffer_owns_its_pages():
     pages = [(p, bytes([p]) * 4096) for p in (4, 5, 6)]
     body = PageUpdateBatch(2, pages)
-    buf = bytearray(encode_frame(Message(1, 0, Channel.COHERENCE, body.kind, body.pack())))
+    buf = bytearray(encode_frame(Message(1, 0, Channel.COHERENCE, body.kind, encode_body(body))))
     msg, used = decode_frame(buf)
     assert used == len(buf)
     buf[:] = bytes(len(buf))  # the framer reuses its buffer after a decode
@@ -224,13 +227,17 @@ def _page_body_cuts(entry_starts: list[int], end: int) -> list[int]:
     return sorted(c for c in cuts if c < end)
 
 
+def _decode(kind: Kind, payload: bytes):
+    return decode_body(Message(1, 0, KIND_CHANNEL[kind], kind, payload))
+
+
 def _assert_rejected(kind: Kind, payload: bytes) -> None:
     with pytest.raises(ProtocolError):
-        decode_body(Message(1, 0, KIND_CHANNEL[kind], kind, payload))
+        _decode(kind, payload)
 
 
 def test_truncated_or_padded_page_data_is_a_protocol_error():
-    payload = PageData(5, 17, bytes(range(256)) * 16).pack()
+    payload = encode_body(PageData(5, 17, bytes(range(256)) * 16))
     assert decode_body(Message(1, 0, Channel.COHERENCE, Kind.PAGE_DATA, payload)).page == 17
     for cut in _page_body_cuts([12], len(payload)):
         _assert_rejected(Kind.PAGE_DATA, payload[:cut])
@@ -240,7 +247,7 @@ def test_truncated_or_padded_page_data_is_a_protocol_error():
 
 def test_truncated_or_padded_update_batch_is_a_protocol_error():
     pages = [(p, bytes([p]) * 4096) for p in (3, 4, 9)]
-    payload = PageUpdateBatch(2, pages).pack()
+    payload = encode_body(PageUpdateBatch(2, pages))
     starts = [10 + i * (4 + 4096) for i in range(len(pages))]
     assert len(payload) == 10 + 3 * 4100
     assert decode_body(Message(1, 0, Channel.COHERENCE, Kind.PAGE_UPDATE_BATCH,
@@ -262,35 +269,65 @@ _EXAMPLE_BODIES = [
     PageData(5, 17, bytes(range(256)) * 16),
     PageInvalidate(5, [1, 2, 9]),
     PageUpdateBatch(5, [(0, bytes(4096)), (3, b"\x01" * 4096)]),
-    OpenRequest("sensor", 2),
+    OpenRequest(2, "sensor"),
     OpenAck(True, 4, 0),
     HeartbeatAck(12),
     CleanupNotice(2),
+    Heartbeat(),
 ]
 
 
 @pytest.mark.parametrize("body", _EXAMPLE_BODIES, ids=lambda b: type(b).__name__)
 def test_every_cut_or_padded_payload_decodes_exactly_or_is_a_protocol_error(body):
-    payload = body.pack()
+    payload = encode_body(body)
     for candidate in [payload[:cut] for cut in range(len(payload))] + [payload + b"\x00"]:
         msg = Message(1, 0, KIND_CHANNEL[body.kind], body.kind, candidate)
         try:
             got = decode_body(msg)
         except ProtocolError:
             continue
-        assert got.pack() == candidate, (len(candidate), got)
+        assert encode_body(got) == candidate, (len(candidate), got)
+
+
+# Each example's payload as the codec before the layout table packed it,
+# one "KIND hex" line per example, in ``_EXAMPLE_BODIES`` order.
+GOLDEN_BODIES = Path(__file__).parent / "golden" / "bodies.hex"
+
+
+def test_every_example_packs_to_its_pinned_bytes():
+    lines = GOLDEN_BODIES.read_text().splitlines()
+    assert len(lines) == len(_EXAMPLE_BODIES)
+    for body, line in zip(_EXAMPLE_BODIES, lines):
+        kind, _, hexed = line.partition(" ")
+        assert (body.kind.name, encode_body(body).hex()) == (kind, hexed)
+
+
+@pytest.mark.parametrize("kind", [row[0] for row in _LAYOUTS], ids=lambda k: k.name)
+def test_every_byte_substitution_decodes_exactly_or_is_a_protocol_error(kind):
+    examples = [body for body in _EXAMPLE_BODIES if body.kind == kind]
+    assert examples, f"no example body for {kind.name}"
+    for body in examples:
+        payload = encode_body(body)
+        for pos in range(len(payload)):
+            for value in (0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF):
+                candidate = payload[:pos] + bytes([value]) + payload[pos + 1 :]
+                try:
+                    got = _decode(kind, candidate)
+                except ProtocolError:
+                    continue
+                assert encode_body(got) == candidate, (pos, value, got)
 
 
 def test_copy_request_data_must_fit_its_direction_and_length():
     for body in (CopyRequest(1, CopyDir.TO_USER, 0x40, 3, b"ab"),
                  CopyRequest(2, CopyDir.TO_USER, 0x40, 3, b"abcd"),
                  CopyRequest(3, CopyDir.FROM_USER, 0x20, 16, b"x")):
-        _assert_rejected(Kind.COPY_REQUEST, body.pack())
+        _assert_rejected(Kind.COPY_REQUEST, encode_body(body))
 
 
 def test_flag_bytes_other_than_0_or_1_are_rejected():
-    _assert_rejected(Kind.PAGE_FETCH, PageFetch(5, 17, True).pack()[:-1] + b"\x02")
-    _assert_rejected(Kind.OPEN_ACK, b"\xff" + OpenAck(True, 4, 0).pack()[1:])
+    _assert_rejected(Kind.PAGE_FETCH, encode_body(PageFetch(5, 17, True))[:-1] + b"\x02")
+    _assert_rejected(Kind.OPEN_ACK, b"\xff" + encode_body(OpenAck(True, 4, 0))[1:])
 
 
 def test_truncated_update_batch_installs_nothing_and_drops_the_session():
@@ -298,7 +335,7 @@ def test_truncated_update_batch_installs_nothing_and_drops_the_session():
 
     world = SimWorld("loopback")
     session = world.session
-    payload = PageUpdateBatch(1, [(0, b"\xab" * 4096)]).pack()[:-100]
+    payload = encode_body(PageUpdateBatch(1, [(0, b"\xab" * 4096)]))[:-100]
     session.on_message(Message(1, 0, Channel.COHERENCE, Kind.PAGE_UPDATE_BATCH, payload))
     world.advance(1.0)  # let the cancelled heartbeat task finish
     assert not session.live
@@ -394,7 +431,7 @@ def test_fifo_random_burst_property():
     async def sender():
         for i in range(50):
             msg = Message(1, i, Channel.COHERENCE, Kind.PAGE_INVALIDATE,
-                          PageInvalidate(1, [0]).pack())
+                          encode_body(PageInvalidate(1, [0])))
             link.a.send(msg)
             await kernel.sleep(rng.random() * 2)
 
@@ -411,9 +448,9 @@ def test_round_trip_counter_counts_response_frames():
     link.b.on_message = lambda m: None
     link.a.send(Message(1, 0, Channel.FILE_OP, Kind.FILE_OP_REQUEST, b""))
     link.b.send(Message(1, 0, Channel.FILE_OP, Kind.FILE_OP_RESPONSE,
-                        FileOpResponse(1, 0).pack()))
+                        encode_body(FileOpResponse(1, 0))))
     link.b.send(Message(1, 1, Channel.FILE_OP, Kind.COPY_REQUEST,
-                        CopyRequest(9, CopyDir.FROM_USER, 0, 4).pack()))
+                        encode_body(CopyRequest(9, CopyDir.FROM_USER, 0, 4))))
     link.a.send(Message(1, 1, Channel.FILE_OP, Kind.COPY_RESPONSE,
                         b"\x00" * 8 + b"abcd"))
     kernel.run_until_idle()
