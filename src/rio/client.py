@@ -72,8 +72,9 @@ ClientConfig = SessionConfig  # the client has no settings of its own
 class RttEstimator:
     """EWMA over heartbeat round-trip samples; seeded by the first ack."""
 
-    def __init__(self, alpha: float = 0.125) -> None:
-        self.alpha = alpha
+    ALPHA = 0.125
+
+    def __init__(self) -> None:
         self.estimate_ms = 0.0
         self.samples = 0
 
@@ -81,7 +82,7 @@ class RttEstimator:
         if self.samples == 0:
             self.estimate_ms = sample_ms
         else:
-            self.estimate_ms += self.alpha * (sample_ms - self.estimate_ms)
+            self.estimate_ms += self.ALPHA * (sample_ms - self.estimate_ms)
         self.samples += 1
         return self.estimate_ms
 
@@ -159,31 +160,6 @@ class LocalMemoryContext(MemoryContext):
         self.arena.write(addr, bytes(data))
 
 
-class LocalHost:
-    """Runs device handlers in-process for registered fallback devices."""
-
-    def __init__(self, kernel: Kernel, arena: ByteArena) -> None:
-        self.kernel = kernel
-        self.mem = LocalMemoryContext(arena)
-
-    async def open(self, device: Device, flags: int = 0):
-        desc = await device.open(flags)
-        device.response_delivered(desc, self.kernel.now())
-        return desc
-
-    async def run(self, device: Device, op: str, desc, *args):
-        handler = getattr(device, op)
-        result = await handler(desc, *args, self.mem)
-        device.response_delivered(desc, self.kernel.now())
-        return result
-
-    async def poll(self, device: Device, desc, events: int, wait: bool,
-                   budget_ms: Optional[float]) -> int:
-        task = self.kernel.spawn(device.poll(desc, events, wait, self.mem), "local-poll")
-        finished, result = await self.kernel.race_timeout(task, budget_ms)
-        return result if finished else 0
-
-
 # ---------------------------------------------------------------------------
 # Client
 # ---------------------------------------------------------------------------
@@ -198,8 +174,7 @@ class Client:
         self.allocator = Allocator()
         self.registry = default_prefetch_registry() if registry is None else registry
         self.local_devices: dict[str, Device] = {}
-        self.local_host = LocalHost(kernel, self.arena)
-        self.sessions: list[ClientSession] = []
+        self.local_mem = LocalMemoryContext(self.arena)  # fallback devices run here
         self._next_session = 1
 
     def register_local_fallback(self, device_class: str, device: Device) -> None:
@@ -208,26 +183,10 @@ class Client:
     def connect(self, endpoint: Endpoint) -> "ClientSession":
         session = ClientSession(self, self._next_session, endpoint)
         self._next_session += 1
-        self.sessions.append(session)
         return session
 
     def alloc(self, length: int, align: int = PAGE_SIZE) -> int:
         return self.allocator.alloc(length, align)
-
-    def stats(self) -> dict:
-        merged = {"rtt_estimate_ms": None, "coverage_misses": 0,
-                  "round_trips": 0, "bytes_on_wire": 0}
-        seen = set()
-        for session in self.sessions:
-            merged["coverage_misses"] += session.coverage_misses
-            stats = getattr(session.endpoint, "stats", None)
-            if stats is not None and id(stats) not in seen:
-                seen.add(id(stats))
-                merged["round_trips"] += stats.round_trips
-                merged["bytes_on_wire"] += stats.bytes_on_wire
-            if session.estimator.samples:
-                merged["rtt_estimate_ms"] = session.estimator.estimate_ms
-        return merged
 
 
 class ClientSession(Peer):
@@ -244,8 +203,7 @@ class ClientSession(Peer):
         self.config = client.config
         endpoint.on_message = self.on_message
         self.estimator = RttEstimator()
-        self.handles: list[VirtualHandle] = []
-        self.regions: dict[int, "MappedRegion"] = {}
+        self.handles: dict[VirtualHandle, None] = {}  # insertion-ordered set of open handles
         self.coverage_misses = 0
         self.coverage_log: deque[tuple[int, int]] = deque(maxlen=OP_LOG_MAX)
         self._open_queue: list[Future] = []
@@ -339,7 +297,6 @@ class ClientSession(Peer):
         self._open_queue.clear()
         self._hb_sent.clear()
         self.dsm.clear()
-        self.regions.clear()
         self._hb_task.cancel()
 
     # -- operations ----------------------------------------------------------------
@@ -356,7 +313,7 @@ class ClientSession(Peer):
         name = device_class + (REMOTE_NAME_SUFFIX
                                if device_class in self.client.local_devices else "")
         handle = VirtualHandle(self, ack.desc, device_class, name)
-        self.handles.append(handle)
+        self.handles[handle] = None
         return handle
 
     async def request(self, req: FileOpRequest):
@@ -445,7 +402,6 @@ class MappedRegion:
         for page, pos, take in self._page_slices(addr, len(data)):
             await self.session.ensure_page(self.region_id, page, write=True)
             self.session.client.arena.write(pos, data[pos - addr : pos - addr + take])
-            self.session.dsm.local_write_done(self.region_id, page)
 
     async def unmap(self) -> None:
         await self.handle._close_map(self)
@@ -484,10 +440,12 @@ class VirtualHandle:
         if self.state is FAILED:
             raise DisconnectedError(self.device_class)
 
-    async def _run(self, remote: Callable[[], Awaitable[int]],
-                   local: Callable[[Device, object], Awaitable[int]]) -> int:
-        """``remote()`` over the session; once the handle falls back,
-        ``local(device, desc)`` on the registered local twin instead."""
+    async def _run(self, remote: Callable[[], Awaitable[int]], op: str, *args,
+                   timeout_ms: Optional[float] = None) -> int:
+        """``remote()`` over the session; once the handle falls back, the
+        device method ``op`` of the registered local twin, called with
+        ``args`` and the client's memory.  A local poll waits the whole
+        ``timeout_ms``: no link round trip shortens it."""
         self._check_usable()
         if self.state is CONNECTED:
             try:
@@ -496,9 +454,19 @@ class VirtualHandle:
                 if self.state is not FALLING_BACK:
                     raise
         device = self.client.local_devices[self.device_class]
-        if self._local_desc is None:
-            self._local_desc = await self.client.local_host.open(device)
-        return await local(device, self._local_desc)
+        kernel = self.client.kernel
+        desc = self._local_desc
+        if desc is None:
+            desc = self._local_desc = await device.open()
+            device.response_delivered(desc, kernel.now())
+        call = getattr(device, op)(desc, *args, self.client.local_mem)
+        if op == "poll":
+            finished, result = await kernel.race_timeout(kernel.spawn(call, "local-poll"),
+                                                         timeout_ms)
+            return result if finished else 0
+        result = await call
+        device.response_delivered(desc, kernel.now())
+        return result
 
     async def _request(self, op: FileOp, **fields) -> int:
         req = FileOpRequest(self.session.next_op_id(), self.desc, op, **fields)
@@ -507,9 +475,7 @@ class VirtualHandle:
     # -- operations -----------------------------------------------------------
 
     async def ioctl(self, cmd: int, arg: int = 0) -> int:
-        return await self._run(
-            lambda: self._remote_ioctl(cmd, arg),
-            lambda device, desc: self.client.local_host.run(device, "ioctl", desc, cmd, arg))
+        return await self._run(lambda: self._remote_ioctl(cmd, arg), "ioctl", cmd, arg)
 
     async def _remote_ioctl(self, cmd: int, arg: int) -> int:
         prefetch = []
@@ -520,14 +486,11 @@ class VirtualHandle:
         return await self._request(FileOp.IOCTL, addr=arg, cmd=cmd, prefetch=prefetch)
 
     async def read(self, addr: int, length: int) -> int:
-        return await self._run(
-            lambda: self._request(FileOp.READ, addr=addr, length=length),
-            lambda device, desc: self.client.local_host.run(device, "read", desc, addr, length))
+        return await self._run(lambda: self._request(FileOp.READ, addr=addr, length=length),
+                               "read", addr, length)
 
     async def write(self, addr: int, length: int) -> int:
-        return await self._run(
-            lambda: self._remote_write(addr, length),
-            lambda device, desc: self.client.local_host.run(device, "write", desc, addr, length))
+        return await self._run(lambda: self._remote_write(addr, length), "write", addr, length)
 
     async def _remote_write(self, addr: int, length: int) -> int:
         data = self.client.arena.read(addr, length)
@@ -542,10 +505,8 @@ class VirtualHandle:
         the heartbeat RTT estimate so the caller's observed deadline stays
         close to the requested one.
         """
-        return await self._run(
-            lambda: self._remote_poll(events, wait, timeout_ms),
-            lambda device, desc: self.client.local_host.poll(device, desc, events, wait,
-                                                             timeout_ms))
+        return await self._run(lambda: self._remote_poll(events, wait, timeout_ms),
+                               "poll", events, wait, timeout_ms=timeout_ms)
 
     async def _remote_poll(self, events: int, wait: bool, timeout_ms: Optional[float]) -> int:
         if not wait:
@@ -561,24 +522,12 @@ class VirtualHandle:
         self._check_usable()
         if self.state is not CONNECTED:
             raise DisconnectedError(self.device_class, "mmap has no local fallback")
-        npages = dsmmod.pages_for(length)
-        base = self.client.alloc(npages * PAGE_SIZE, align=2 * 1024 * 1024)
+        base = self._alloc_shadow(length)
         region_id = await self._request(FileOp.MMAP, addr=base, length=length, offset=offset)
         if region_id < 0:
             raise RioError(f"mmap failed: errno {-region_id}")
-        region = dsmmod.make_client_region(
-            region_id, base, length, dsmmod.ArenaStore(self.client.arena, base),
-            dsmmod.Origin.MAP_PAGE, dsmmod.Policy.INVALIDATE)
-        self.session.dsm.register_region(region)
-        return self._add_region(region_id, base, length)
-
-    async def _close_map(self, mapped: MappedRegion) -> None:
-        if self.state is CONNECTED:
-            await self._request(FileOp.CLOSE_MAP, region=mapped.region_id)
-        self.session.dsm.drop_region(mapped.region_id)
-        self.session.regions.pop(mapped.region_id, None)
-        if mapped in self.regions:
-            self.regions.remove(mapped)
+        return self._shadow_region(region_id, base, length, dsmmod.Origin.MAP_PAGE,
+                                   dsmmod.PageState.INVALID)
 
     async def alloc_global_buffer(self, size: int, buffer_id: int) -> MappedRegion:
         """Allocate a buffer shared coherently with the server (camera-style)."""
@@ -587,29 +536,44 @@ class VirtualHandle:
             raise DisconnectedError(self.device_class)
         if size <= 0:
             raise ValueError("global buffer size must be positive")
-        npages = dsmmod.pages_for(size)
-        base = self.client.alloc(npages * PAGE_SIZE, align=2 * 1024 * 1024)
-        region_id = GBUF_REGION_BASE | buffer_id
-        region = dsmmod.make_client_region(
-            region_id, base, size, dsmmod.ArenaStore(self.client.arena, base),
-            dsmmod.Origin.GLOBAL_BUFFER, dsmmod.Policy.INVALIDATE,
-            initial=dsmmod.PageState.READ_WRITE)  # allocator side owns the pages
-        self.session.dsm.register_region(region)
+        base = self._alloc_shadow(size)
+        # The allocator side owns the pages until the device writes them.
+        mapped = self._shadow_region(GBUF_REGION_BASE | buffer_id, base, size,
+                                     dsmmod.Origin.GLOBAL_BUFFER, dsmmod.PageState.READ_WRITE)
         arg = self.client.alloc(24)
         self.client.arena.write(arg, struct.pack("<QQQ", size, buffer_id, base))
         result = await self.ioctl(GBUF_ALLOC, arg)
         if result < 0:
-            self.session.dsm.drop_region(region_id)
+            self._forget_region(mapped)
             raise RioError(f"global buffer allocation failed: errno {-result}")
-        return self._add_region(region_id, base, size)
+        return mapped
 
-    def _add_region(self, region_id: int, base: int, length: int) -> MappedRegion:
+    def _alloc_shadow(self, length: int) -> int:
+        return self.client.alloc(dsmmod.pages_for(length) * PAGE_SIZE, align=2 * 1024 * 1024)
+
+    def _shadow_region(self, region_id: int, base: int, length: int, origin: dsmmod.Origin,
+                       initial: dsmmod.PageState) -> MappedRegion:
+        """Register the client side of a coherent region at ``base``."""
+        self.session.dsm.register_region(dsmmod.make_client_region(
+            region_id, base, length, dsmmod.ArenaStore(self.client.arena, base),
+            origin, dsmmod.Policy.INVALIDATE, initial))
         mapped = MappedRegion(self.session, self, region_id, base, length)
-        self.session.regions[region_id] = mapped
         self.regions.append(mapped)
         return mapped
 
+    def _forget_region(self, mapped: MappedRegion) -> None:
+        self.session.dsm.drop_region(mapped.region_id)
+        if mapped in self.regions:
+            self.regions.remove(mapped)
+
+    async def _close_map(self, mapped: MappedRegion) -> None:
+        if self.state is CONNECTED:
+            await self._request(FileOp.CLOSE_MAP, region=mapped.region_id)
+        self._forget_region(mapped)
+
     async def close(self) -> None:
+        """Unmap and release the remote descriptor, or the local twin's
+        descriptor once the handle fell back, and leave the session."""
         if self.state is CONNECTED:
             for mapped in list(self.regions):
                 await mapped.unmap()
@@ -617,4 +581,8 @@ class VirtualHandle:
                 await self._request(FileOp.RELEASE)
             except DisconnectedError:
                 pass
+        desc, self._local_desc = self._local_desc, None
+        if desc is not None:
+            await self.client.local_devices[self.device_class].release(desc)
         self.state = CLOSED
+        self.session.handles.pop(self, None)

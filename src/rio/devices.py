@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import Future, Kernel
+from .memory import PAGE_SIZE
 
 # errno-style results (negative of these is returned by handlers)
 EIO = 5
@@ -37,7 +38,6 @@ EBADF = 9
 EINVAL = 22
 ENODEV = 19
 ENOTTY = 25
-ECONNRESET = 104
 
 POLLIN = 0x001
 POLLOUT = 0x004
@@ -71,10 +71,6 @@ def ioc(direction: int, ioc_type: int, nr: int, size: int) -> int:
 
 def io(ioc_type: int, nr: int) -> int:
     return ioc(IOC_NONE, ioc_type, nr, 0)
-
-
-def ior(ioc_type: int, nr: int, size: int) -> int:
-    return ioc(IOC_READ, ioc_type, nr, size)
 
 
 def iow(ioc_type: int, nr: int, size: int) -> int:
@@ -407,17 +403,24 @@ class AudioDevice(Device):
         return mask
 
 
-def _ramp(first: int, nbytes: int) -> bytes:
-    """``nbytes`` bytes where byte i is (first + 7*i) % 256.
+def _ramp(first: int, nbytes: int, out: Optional[bytearray] = None) -> Optional[bytes]:
+    """``nbytes`` bytes where byte i is (first + 7*i) % 256: written into
+    the start of ``out`` if one is given, else returned.
 
-    The sequence repeats every 256 bytes, so one 256-byte period is built
-    and tiled.
+    The sequence repeats every 256 bytes, so one period is written and the
+    filled prefix is then doubled by copies inside the buffer.  The period
+    divides every offset copied to, so each copy continues the ramp.
     """
-    if nbytes <= 0:
-        return b""
-    period = bytes((first + 7 * i) & 0xFF for i in range(256))
-    reps, rest = divmod(nbytes, 256)
-    return period * reps + period[:rest]
+    nbytes = max(nbytes, 0)
+    buf = bytearray(nbytes) if out is None else out
+    with memoryview(buf) as view:
+        done = min(nbytes, 256)
+        view[:done] = bytes((first + 7 * i) & 0xFF for i in range(done))
+        while done < nbytes:
+            step = min(done, nbytes - done)
+            view[done : done + step] = view[:step]
+            done += step
+    return bytes(buf) if out is None else None
 
 
 def mic_frames(first_frame: int, count: int, frame_bytes: int) -> bytes:
@@ -446,7 +449,7 @@ class FrameFormat:
     @property
     def buffer_bytes(self) -> int:
         # Each buffer occupies whole pages.
-        return (self.frame_bytes + 4095) // 4096 * 4096
+        return (self.frame_bytes + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
 
 
 FRAME_SETUP = iow(ord("V"), 1, 12)   # {width u32, height u32, buffer count u32}
@@ -455,12 +458,14 @@ GBUF_ALLOC = iow(ord("V"), 3, 24)    # {size u64, buffer_id u64, client_base u64
 FRAME_CAPTURE = io(ord("V"), 4)      # arg = global buffer id
 
 
-def frame_pattern(frame_seq: int, nbytes: int) -> bytes:
+def frame_pattern(frame_seq: int, nbytes: int,
+                  out: Optional[bytearray] = None) -> Optional[bytes]:
     """Test-pattern byte at offset i of frame k: (k*131 + i*7 + 23) % 256.
 
-    Every frame has a 256-byte period.
+    Every frame has a 256-byte period.  With ``out``, the frame is written
+    into the start of that buffer in place and nothing is returned.
     """
-    return _ramp(frame_seq * 131 + 23, nbytes)
+    return _ramp(frame_seq * 131 + 23, nbytes, out)
 
 
 class FrameSourceDevice(Device):
@@ -500,8 +505,7 @@ class FrameSourceDevice(Device):
             if desc.region_ref is None:
                 return -EINVAL
             idx = desc.frame_seq % desc.count
-            fill = frame_pattern(desc.frame_seq, desc.fmt.frame_bytes)
-            memoryview(desc.buffers[idx])[: len(fill)] = fill  # no temporary copy
+            frame_pattern(desc.frame_seq, desc.fmt.frame_bytes, desc.buffers[idx])
             mem.dma_complete(desc.region_ref, idx * desc.fmt.buffer_bytes,
                              desc.fmt.frame_bytes)
             desc.frame_seq += 1
@@ -524,7 +528,7 @@ class FrameSourceDevice(Device):
             if ref is None:
                 return -EINVAL
             desc.capture_seq += 1
-            memoryview(ref.buf)[: ref.length] = frame_pattern(desc.capture_seq, ref.length)
+            frame_pattern(desc.capture_seq, ref.length, ref.buf)
             mem.dma_complete(ref, 0, ref.length)
             return 0
         return -ENOTTY
@@ -537,7 +541,7 @@ class FrameSourceDevice(Device):
             return -EINVAL
         desc.buffers = [bytearray(per_buf) for _ in range(desc.count)]
         for i, buf in enumerate(desc.buffers):
-            for page_off in range(0, per_buf, 4096):
+            for page_off in range(0, per_buf, PAGE_SIZE):
                 mem.map_page(buf, page_off, i * per_buf + page_off)
         return 0
 
@@ -644,12 +648,11 @@ class EchoDevice(Device):
 # ---------------------------------------------------------------------------
 
 
-def default_devices(kernel: Kernel, *, sensor_cadence_ms: float = 65.0,
-                    audio: Optional[AudioConfig] = None,
+def default_devices(kernel: Kernel, *, audio: Optional[AudioConfig] = None,
                     call_delay_ms: float = 7800.0, sms_delay_ms: float = 6200.0
                     ) -> dict[str, Device]:
     return {
-        "sensor": SensorDevice(kernel, cadence_ms=sensor_cadence_ms),
+        "sensor": SensorDevice(kernel),
         "audio": AudioDevice(kernel, audio),
         "framesource": FrameSourceDevice(kernel),
         "modem": ModemDevice(kernel, call_delay_ms, sms_delay_ms),

@@ -238,18 +238,6 @@ class Region:
     policy: Policy
     store: PageStore
     tracker: SectionTracker  # permission states (per page once split)
-    dma_state: Optional[list[PageState]] = None  # server side only
-    epoch: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.epoch:
-            self.epoch = [0] * self.npages
-
-    def page_of(self, addr: int) -> int:
-        off = addr - self.base
-        if not 0 <= off < self.npages * PAGE_SIZE:
-            raise DsmError(f"address {addr:#x} outside region {self.region_id}")
-        return off // PAGE_SIZE
 
 
 @dataclass
@@ -334,7 +322,6 @@ class DsmNode:
         if state == READ_ONLY:
             # A write: claim ownership, revoke the peer's copy, take read-write.
             tracker.set(page, READ_WRITE)
-            self._set_dma(region, page, READ_WRITE)
             self.stats["invalidates_sent"] += 1
             self.send(PageInvalidate(region_id, [page]))
             return True
@@ -377,10 +364,6 @@ class DsmNode:
                     return page - first
         return end - first
 
-    def local_write_done(self, region_id: int, page: int) -> None:
-        region = self.region(region_id)
-        region.epoch[page] += 1
-
     # -- incoming coherence traffic -------------------------------------------
 
     def handle(self, body) -> None:
@@ -400,10 +383,8 @@ class DsmNode:
         self.send(PageData(body.region, body.page, region.store.read_page(body.page)))
         if body.want_ownership:
             region.tracker.set(body.page, INVALID)
-            self._set_dma(region, body.page, INVALID)
         elif state == READ_WRITE:
             region.tracker.set(body.page, READ_ONLY)
-            self._set_dma(region, body.page, READ_ONLY)
 
     def _on_data(self, body: PageData) -> None:
         key = (body.region, body.page)
@@ -412,11 +393,8 @@ class DsmNode:
             raise ProtocolFault(f"page data for {key} with no fetch in flight")
         region = self.region(body.region)
         region.store.write_page(body.page, body.data)
-        region.epoch[body.page] += 1
         self.stats["installs"] += 1
-        state = READ_WRITE if pending.want_ownership else READ_ONLY
-        region.tracker.set(body.page, state)
-        self._set_dma(region, body.page, state)
+        region.tracker.set(body.page, READ_WRITE if pending.want_ownership else READ_ONLY)
         del self._pending[key]
         for wake in pending.waiters:
             wake()
@@ -430,7 +408,6 @@ class DsmNode:
                 # point and wins; the client's claim is void.
                 continue
             region.tracker.set(page, INVALID)
-            self._set_dma(region, page, INVALID)
 
     def _on_batch(self, body: PageUpdateBatch) -> None:
         # Pushed updates come from the serialization point: they install
@@ -440,11 +417,8 @@ class DsmNode:
         pages = [page for page, _ in body.entries]
         for first, npages in _runs(pages):
             region.tracker.set_range(first, npages, READ_ONLY)
-            self._set_dma_range(region, first, npages, READ_ONLY)
-        epoch = region.epoch
         for page, data in body.entries:
             region.store.write_page(page, data)
-            epoch[page] += 1
         self.stats["installs"] += len(pages)
 
     # -- DMA completions -------------------------------------------------------
@@ -466,8 +440,6 @@ class DsmNode:
         invalidate = region.policy == Policy.INVALIDATE
         state = READ_WRITE if invalidate else READ_ONLY
         region.tracker.set_range(first, len(pages), state)  # DsmError if section-tracked
-        self._set_dma_range(region, first, len(pages), state)
-        region.epoch[first:end] = [e + 1 for e in region.epoch[first:end]]
         if invalidate:
             self.stats["invalidates_sent"] += 1
             self.send(PageInvalidate(region_id, list(pages)))
@@ -478,14 +450,6 @@ class DsmNode:
         return len(pages)
 
     # -- helpers ----------------------------------------------------------------
-
-    def _set_dma(self, region: Region, page: int, state: PageState) -> None:
-        if region.dma_state is not None:
-            region.dma_state[page] = state
-
-    def _set_dma_range(self, region: Region, first: int, npages: int, state: PageState) -> None:
-        if region.dma_state is not None:
-            region.dma_state[first : first + npages] = [state] * npages
 
     def quiescent(self) -> bool:
         return not self._pending
@@ -511,8 +475,7 @@ def make_server_region(region_id: int, base: int, length: int, store: PageStore,
     npages = pages_for(length)
     sectioned = origin == Origin.MAP_PAGE
     tracker = SectionTracker(npages, sectioned=sectioned, initial=initial)
-    return Region(region_id, base, length, npages, origin, policy, store,
-                  tracker, dma_state=[initial] * npages)
+    return Region(region_id, base, length, npages, origin, policy, store, tracker)
 
 
 def make_client_region(region_id: int, base: int, length: int, store: PageStore,

@@ -66,9 +66,6 @@ class ByteArena:
             memoryview(self._chunk(idx))[off : off + take] = data[pos : pos + take]
             pos += take
 
-    def touched_bytes(self) -> int:
-        return len(self._chunks) * PAGE_SIZE
-
 
 class Allocator:
     """Bump allocator handing out non-overlapping arena ranges."""

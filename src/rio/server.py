@@ -115,9 +115,9 @@ class Server:
             counts["regions"] += len(session.regions)
             counts["pending_copies"] += len(session.pending)
             counts["workers"] += len(session.workers)
-            for ctx in session.live_ops.values():
-                counts["cache_entries"] += len(ctx.cache)
-                counts["batch_entries"] += len(ctx.batch)
+            for mem in session.live_ops.values():
+                counts["cache_entries"] += len(mem.cache)
+                counts["batch_entries"] += len(mem.batch)
         return counts
 
 
@@ -133,19 +133,6 @@ class _RegionRec:
     region_id: int
     desc_id: int
     ref: RegionRef
-
-
-class _OpContext:
-    __slots__ = ("op_id", "desc_id", "cache", "batch", "rounds", "mapped")
-
-    def __init__(self, op_id: int, desc_id: int,
-                 prefetch: list[tuple[int, bytes]]) -> None:
-        self.op_id = op_id
-        self.desc_id = desc_id
-        self.cache: list[list] = [[addr, bytearray(data)] for addr, data in prefetch]
-        self.batch: list[tuple[int, bytes]] = []
-        self.rounds = 0
-        self.mapped: list[tuple[bytearray, int, int]] = []  # (buf, buf_off, client_addr)
 
 
 class _MappedPagesStore(dsmmod.PageStore):
@@ -184,7 +171,7 @@ class ServerSession(Peer):
         self.config = server.config
         self.descs: dict[int, _DescEntry] = {}
         self.regions: dict[int, _RegionRec] = {}
-        self.live_ops: dict[int, _OpContext] = {}
+        self.live_ops: dict[int, ServerMemoryContext] = {}
         self.workers: dict = {}  # insertion-ordered set of live worker tasks
         self.last_heartbeat = self.kernel.now()
         self._copy_id = 1 << 62
@@ -253,15 +240,14 @@ class ServerSession(Peer):
         if entry is None:
             self._send(FileOpResponse(req.op_id, -EBADF))
             return
-        ctx = _OpContext(req.op_id, req.desc, req.prefetch)
-        self.live_ops[req.op_id] = ctx
-        mem = ServerMemoryContext(self, ctx)
+        mem = self.live_ops[req.op_id] = ServerMemoryContext(self, req.op_id, req.desc,
+                                                             req.prefetch)
         try:
             if req.op is _POLL:
                 result = await self._run_poll(entry, req, mem)
             else:
                 async with entry.lock:
-                    result = await self._locked_ops[req.op](entry, req, ctx, mem)
+                    result = await self._locked_ops[req.op](entry, req, mem)
         except (Cancelled, SessionClosed):
             self.live_ops.pop(req.op_id, None)
             return
@@ -272,31 +258,27 @@ class ServerSession(Peer):
             # disconnect horizon; answer with an I/O error instead.
             log.exception("op %d (%s) raised", req.op_id, req.op.name)
             result = -EIO
-        batch = ctx.batch
         self.live_ops.pop(req.op_id, None)
         if not self.live:
             return
-        self.server.stats.batch_bytes += sum(len(d) for _, d in batch)
-        delivered = self._send(FileOpResponse(req.op_id, result, batch))
+        self.server.stats.batch_bytes += sum(len(d) for _, d in mem.batch)
+        delivered = self._send(FileOpResponse(req.op_id, result, mem.batch))
         entry.device.response_delivered(entry.desc, delivered)
 
     # The locked ops share one signature.  The device ops return the
     # device's coroutine, which ``_run_op`` awaits itself.
 
-    def _run_read(self, entry: _DescEntry, req: FileOpRequest, ctx: _OpContext,
-                  mem: MemoryContext):
+    def _run_read(self, entry: _DescEntry, req: FileOpRequest, mem: ServerMemoryContext):
         return entry.device.read(entry.desc, req.addr, req.length, mem)
 
-    def _run_write(self, entry: _DescEntry, req: FileOpRequest, ctx: _OpContext,
-                   mem: MemoryContext):
+    def _run_write(self, entry: _DescEntry, req: FileOpRequest, mem: ServerMemoryContext):
         return entry.device.write(entry.desc, req.addr, req.length, mem)
 
-    def _run_ioctl(self, entry: _DescEntry, req: FileOpRequest, ctx: _OpContext,
-                   mem: MemoryContext):
+    def _run_ioctl(self, entry: _DescEntry, req: FileOpRequest, mem: ServerMemoryContext):
         return entry.device.ioctl(entry.desc, req.cmd, req.addr, mem)
 
     async def _run_poll(self, entry: _DescEntry, req: FileOpRequest,
-                        mem: MemoryContext) -> int:
+                        mem: ServerMemoryContext) -> int:
         wait = req.mode != PollMode.NONBLOCKING
         poll_task = self.kernel.spawn(
             entry.device.poll(entry.desc, req.events, wait, mem), "poll")
@@ -305,14 +287,14 @@ class ServerSession(Peer):
         return result if finished else 0
 
     async def _run_mmap(self, entry: _DescEntry, req: FileOpRequest,
-                        ctx: _OpContext, mem: MemoryContext) -> int:
+                        mem: ServerMemoryContext) -> int:
         result = await entry.device.mmap(entry.desc, req.length, req.offset, mem)
         if result < 0:
             return result
         npages = dsmmod.pages_for(req.length)
-        if len(ctx.mapped) != npages:
+        if len(mem.mapped) != npages:
             return -EINVAL
-        by_addr = sorted(ctx.mapped, key=lambda m: m[2])
+        by_addr = sorted(mem.mapped, key=lambda m: m[2])
         base = req.addr
         for i, (_, _, target_off) in enumerate(by_addr):
             if target_off != i * PAGE_SIZE:
@@ -338,7 +320,7 @@ class ServerSession(Peer):
         return region_id
 
     async def _run_close_map(self, entry: _DescEntry, req: FileOpRequest,
-                             ctx: _OpContext, mem: MemoryContext) -> int:
+                             mem: ServerMemoryContext) -> int:
         rec = self.regions.get(req.region)
         if rec is None:
             return -EINVAL
@@ -360,7 +342,7 @@ class ServerSession(Peer):
         self.regions.pop(rec.region_id, None)
 
     async def _release_descriptor(self, entry: _DescEntry, req: FileOpRequest,
-                                  ctx: _OpContext, mem: MemoryContext) -> int:
+                                  mem: ServerMemoryContext) -> int:
         for rec in [r for r in self.regions.values() if r.desc_id == entry.desc.desc_id]:
             await self._drop_region(rec)
         await entry.device.release(entry.desc)
@@ -369,20 +351,20 @@ class ServerSession(Peer):
 
     # -- copy service ----------------------------------------------------------
 
-    async def fetch_from_client(self, ctx: _OpContext, addr: int, length: int) -> bytes:
+    async def fetch_from_client(self, mem: ServerMemoryContext, addr: int, length: int) -> bytes:
         """A cache miss: read the range from client memory."""
-        return await self._copy_round(ctx, CopyDir.FROM_USER, addr, length)
+        return await self._copy_round(mem, CopyDir.FROM_USER, addr, length)
 
-    async def push_to_client(self, ctx: _OpContext, addr: int, data: bytes) -> None:
+    async def push_to_client(self, mem: ServerMemoryContext, addr: int, data: bytes) -> None:
         """Unoptimized mode: flush one driver write as its own round trip."""
-        await self._copy_round(ctx, CopyDir.TO_USER, addr, len(data), data)
+        await self._copy_round(mem, CopyDir.TO_USER, addr, len(data), data)
 
-    async def _copy_round(self, ctx: _OpContext, direction: CopyDir, addr: int, length: int,
-                          data: bytes = b"") -> bytes:
+    async def _copy_round(self, mem: ServerMemoryContext, direction: CopyDir, addr: int,
+                          length: int, data: bytes = b"") -> bytes:
         """One copy round trip to the client, at most ``COPY_ROUND_LIMIT`` per op."""
-        if ctx.rounds >= COPY_ROUND_LIMIT:
-            raise OpAborted(f"op {ctx.op_id} exceeded {COPY_ROUND_LIMIT} copy rounds")
-        ctx.rounds += 1
+        if mem.rounds >= COPY_ROUND_LIMIT:
+            raise OpAborted(f"op {mem.op_id} exceeded {COPY_ROUND_LIMIT} copy rounds")
+        mem.rounds += 1
         copy_id = self._copy_id
         self._copy_id += 1
         fut = self._expect(copy_id)
@@ -457,11 +439,19 @@ class ServerSession(Peer):
 
 
 class ServerMemoryContext(MemoryContext):
-    """Routes device memory operations through the prefetch cache and batch."""
+    """One file op's view of client memory: device memory operations go
+    through the op's prefetch cache and copy batch, and the pages the
+    device maps are collected for the region ``_run_mmap`` builds."""
 
-    def __init__(self, session: ServerSession, ctx: _OpContext) -> None:
+    def __init__(self, session: ServerSession, op_id: int, desc_id: int,
+                 prefetch: list[tuple[int, bytes]]) -> None:
         self.session = session
-        self.ctx = ctx
+        self.op_id = op_id
+        self.desc_id = desc_id
+        self.cache: list[list] = [[addr, bytearray(data)] for addr, data in prefetch]
+        self.batch: list[tuple[int, bytes]] = []
+        self.rounds = 0
+        self.mapped: list[tuple[bytearray, int, int]] = []  # (buf, buf_off, client_addr)
 
     # -- reads ------------------------------------------------------------
 
@@ -472,16 +462,16 @@ class ServerMemoryContext(MemoryContext):
         if gaps:
             self.session.server.stats.cache_misses += 1
             for gap_addr, gap_len in gaps:
-                data = await self.session.fetch_from_client(self.ctx, gap_addr, gap_len)
+                data = await self.session.fetch_from_client(self, gap_addr, gap_len)
                 patched = self._overlay_batch(gap_addr, bytearray(data))
-                self.ctx.cache.append([gap_addr, patched])
+                self.cache.append([gap_addr, patched])
         else:
             self.session.server.stats.cache_hits += 1
         return self._read_cache(addr, length)
 
     def _uncovered(self, addr: int, length: int) -> list[tuple[int, int]]:
         spans = sorted((max(e_addr, addr), min(e_addr + len(e_data), addr + length))
-                       for e_addr, e_data in self.ctx.cache
+                       for e_addr, e_data in self.cache
                        if e_addr < addr + length and e_addr + len(e_data) > addr)
         gaps = []
         cursor = addr
@@ -495,7 +485,7 @@ class ServerMemoryContext(MemoryContext):
 
     def _overlay_batch(self, addr: int, data: bytearray) -> bytearray:
         # Pending batched writes are newer than the client's memory.
-        for b_addr, b_data in self.ctx.batch:
+        for b_addr, b_data in self.batch:
             lo = max(addr, b_addr)
             hi = min(addr + len(data), b_addr + len(b_data))
             if lo < hi:
@@ -504,7 +494,7 @@ class ServerMemoryContext(MemoryContext):
 
     def _read_cache(self, addr: int, length: int) -> bytes:
         out = bytearray(length)
-        for e_addr, e_data in self.ctx.cache:
+        for e_addr, e_data in self.cache:
             lo = max(addr, e_addr)
             hi = min(addr + length, e_addr + len(e_data))
             if lo < hi:
@@ -514,7 +504,7 @@ class ServerMemoryContext(MemoryContext):
     # -- writes ------------------------------------------------------------
 
     def _update_cache(self, addr: int, data: bytes) -> None:
-        for entry in self.ctx.cache:
+        for entry in self.cache:
             e_addr, e_data = entry
             lo = max(addr, e_addr)
             hi = min(addr + len(data), e_addr + len(e_data))
@@ -525,9 +515,9 @@ class ServerMemoryContext(MemoryContext):
         data = bytes(data)
         self._update_cache(addr, data)
         if self.session.config.optimize:
-            self.ctx.batch.append((addr, data))
+            self.batch.append((addr, data))
         else:
-            await self.session.push_to_client(self.ctx, addr, data)
+            await self.session.push_to_client(self, addr, data)
 
     async def put_user(self, addr: int, value: int, width: int) -> None:
         if width not in (1, 2, 4, 8):
@@ -535,18 +525,18 @@ class ServerMemoryContext(MemoryContext):
         data = value.to_bytes(width, "little")
         # Small scalar stores always ride the response batch.
         self._update_cache(addr, data)
-        self.ctx.batch.append((addr, data))
+        self.batch.append((addr, data))
 
     # -- mapping and DMA ---------------------------------------------------
 
     def map_page(self, buf: bytearray, buf_offset: int, target_offset: int) -> None:
         if buf_offset % PAGE_SIZE or target_offset % PAGE_SIZE:
             raise ValueError("map_page requires page-aligned source and target")
-        self.ctx.mapped.append((buf, buf_offset, target_offset))
+        self.mapped.append((buf, buf_offset, target_offset))
 
     def alloc_global_buffer(self, size: int, buffer_id: int, client_base: int) -> RegionRef:
         return self.session.create_global_buffer(size, buffer_id, client_base,
-                                                 self.ctx.desc_id)
+                                                 self.desc_id)
 
     def dma_complete(self, region_ref, offset: int, length: int) -> None:
         if region_ref is not None:

@@ -66,19 +66,16 @@ def resolve_link(link: str = "lan", latency_ms: Optional[float] = None,
 class SimWorld:
     def __init__(self, link: str | LinkConfig = "loopback", *, seed: int = 0,
                  optimize: bool = True, dsm_policy: Policy = Policy.UPDATE_PUSH,
-                 heartbeat_interval_ms: float = 500.0, heartbeat_miss_limit: int = 3,
-                 sensor_cadence_ms: float = 65.0, audio: Optional[AudioConfig] = None,
+                 heartbeat_interval_ms: float = 500.0, audio: Optional[AudioConfig] = None,
                  call_delay_ms: float = 7800.0, sms_delay_ms: float = 6200.0) -> None:
         self.kernel = SimKernel()
         self.rng = random.Random(seed)
         self.link_config = link_preset(link)
         self.link = SimulatedLink(self.kernel, self.link_config, rng=self.rng)
         self.audio_config = audio or AudioConfig()
-        self.devices = default_devices(
-            self.kernel, sensor_cadence_ms=sensor_cadence_ms, audio=self.audio_config,
-            call_delay_ms=call_delay_ms, sms_delay_ms=sms_delay_ms)
-        shared = {"heartbeat_interval_ms": heartbeat_interval_ms,
-                  "heartbeat_miss_limit": heartbeat_miss_limit, "optimize": optimize}
+        self.devices = default_devices(self.kernel, audio=self.audio_config,
+                                       call_delay_ms=call_delay_ms, sms_delay_ms=sms_delay_ms)
+        shared = {"heartbeat_interval_ms": heartbeat_interval_ms, "optimize": optimize}
         self.server = Server(self.kernel, self.devices,
                              ServerConfig(**shared, dma_policy=dsm_policy))
         self.client = Client(self.kernel, ClientConfig(**shared),
@@ -108,9 +105,7 @@ class SimWorld:
         fresh = SimulatedLink(self.kernel, dataclasses.replace(config, disconnect_at_ms=None),
                               rng=self.rng)
         self.server.attach(fresh.b)
-        session = self.client.connect(fresh.a)
-        self.last_link = fresh
-        return session
+        return self.client.connect(fresh.a)
 
     # -- readouts ----------------------------------------------------------------
 

@@ -468,17 +468,19 @@ def decode_body(msg: Message):
 # ---------------------------------------------------------------------------
 
 
+HEARTBEAT_MISS_LIMIT = 3  # silent heartbeat intervals before a peer is declared gone
+
+
 @dataclass
 class SessionConfig:
     """Settings both stubs share: heartbeat cadence and copy optimization."""
 
     heartbeat_interval_ms: float = 500.0
-    heartbeat_miss_limit: int = 3
     optimize: bool = True
 
     @property
     def timeout_ms(self) -> float:
-        return self.heartbeat_interval_ms * self.heartbeat_miss_limit
+        return self.heartbeat_interval_ms * HEARTBEAT_MISS_LIMIT
 
 
 class Peer:

@@ -137,8 +137,6 @@ class ModelWorld:
             src = self.nodes[side].region(1)
             dst = fresh.nodes[side].region(1)
             dst.tracker.states[:] = src.tracker.states
-            if src.dma_state is not None:
-                dst.dma_state = list(src.dma_state)
             node = fresh.nodes[side]
             node._pending = {
                 k: _Pending(write=v.write, want_ownership=v.want_ownership,
@@ -198,7 +196,6 @@ class ModelWorld:
             return
         if op.kind == "write":
             self.stores[side].write_page(op.page, bytes([op.tag]))
-            node.local_write_done(1, op.page)
         self._finish(side)
 
     def _finish(self, side: str) -> None:
@@ -340,7 +337,6 @@ class _WireNode:
     async def write(self, page: int, tag: int) -> None:
         await self.ensure(page, True)
         self.store.write_page(page, _tag_page(tag))
-        self.node.local_write_done(1, page)
 
     def dma(self, page: int, tag: int) -> None:
         self.store.write_page(page, _tag_page(tag))

@@ -217,7 +217,7 @@ def test_timeout_poll_observed_deadline_matches_request():
 
 
 def test_estimator_seeds_with_first_sample_then_smooths():
-    est = RttEstimator(alpha=0.125)
+    est = RttEstimator()
     assert est.update(8.0) == 8.0
     assert est.update(16.0) == pytest.approx(8.0 + 0.125 * 8.0)
 
@@ -426,6 +426,79 @@ def test_disconnect_with_no_inflight_op_next_op_follows_rules():
         return got
 
     assert world.run(main()) & POLLIN
+
+
+class RecordingSensor(SensorDevice):
+    """A sensor that keeps every descriptor it opens."""
+
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        self.descs = []
+
+    async def open(self, flags=0):
+        desc = await super().open(flags)
+        self.descs.append(desc)
+        return desc
+
+
+def test_fallback_poll_waits_the_full_timeout():
+    world = SimWorld(link="lan")
+    world.client.register_local_fallback("sensor", SensorDevice(world.kernel))
+
+    async def main():
+        handle = await world.session.open("sensor")
+        world.cut_link()
+        while world.session.live:
+            await world.kernel.sleep(50)
+        opened = world.now()  # the first local op opens the local twin
+        timed_out = await handle.poll(POLLIN, timeout_ms=40)
+        timed_out_after = world.now() - opened
+        ready = await handle.poll(POLLIN)
+        return timed_out, timed_out_after, ready, world.now() - opened
+
+    timed_out, timed_out_after, ready, ready_after = world.run(main())
+    # No link: the local wait is not shortened by the RTT estimate.
+    assert timed_out == 0 and timed_out_after == pytest.approx(40.0, abs=1e-9)
+    # The local sample falls due one cadence after the local open.
+    assert ready == POLLIN and ready_after == pytest.approx(65.0, abs=1e-9)
+
+
+def test_close_after_fallback_releases_the_local_descriptor():
+    world = SimWorld(link="lan")
+    local = RecordingSensor(world.kernel)
+    world.client.register_local_fallback("sensor", local)
+
+    async def main():
+        handle = await world.session.open("sensor")
+        buf = world.client.alloc(16)
+        world.cut_link()
+        for _ in range(60):
+            await handle.poll(POLLIN)
+            assert await handle.read(buf, 12) == 12
+        assert handle.state is HandleState.FALLING_BACK
+        await handle.close()
+
+    world.run(main())
+    (desc,) = local.descs
+    assert desc.closed
+    assert ("release", desc.desc_id) in local.op_log
+    samples = desc.seq
+    world.advance(1000.0)
+    assert desc.seq == samples  # a released sensor produces nothing more
+
+
+def test_closed_handles_leave_the_session():
+    world = SimWorld(link="lan")
+
+    async def main():
+        kept = await world.session.open("echodev")
+        for _ in range(200):
+            handle = await world.session.open("echodev")
+            await handle.close()
+        return kept
+
+    kept = world.run(main())
+    assert list(world.session.handles) == [kept]
 
 
 def test_blocking_poll_returns_about_due_time_plus_half_rtt():

@@ -239,6 +239,17 @@ def test_frame_pattern_matches_per_byte_definition(seq, nbytes):
     assert frame_pattern(seq, nbytes) == want
 
 
+@pytest.mark.parametrize("seq", (0, 1, 2, 255, 256, 1_000_003, 2**63 + 5))
+def test_in_place_fill_equals_frame_pattern(seq):
+    period = bytes((seq * 131 + i * 7 + 23) % 256 for i in range(256))
+    for nbytes in (*range(301), 614_400, 1_000_003):
+        buf = bytearray(b"\xaa" * (nbytes + 5))
+        assert frame_pattern(seq, nbytes, buf) is None
+        assert buf[:nbytes] == frame_pattern(seq, nbytes)
+        assert buf[:nbytes] == (period * (nbytes // 256 + 1))[:nbytes]
+        assert buf[nbytes:] == b"\xaa" * 5  # nothing past the frame is written
+
+
 @pytest.mark.parametrize("frame_bytes", range(1, 9))
 @pytest.mark.parametrize("first", (0, 1, 37, 2**40 + 11))
 def test_mic_frames_match_per_byte_definition(first, frame_bytes):

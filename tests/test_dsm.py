@@ -190,7 +190,7 @@ def test_dma_update_push_batches_whole_photo_buffer():
     assert len(batch.entries) == 1954
     pair.pump()
     assert pair.states(0) == (RO, RO)
-    assert pair.server.region(1).dma_state[0] == RO
+    assert pair.server.region(1).tracker.get(0) == RO
 
 
 def test_dma_invalidate_coalesces_one_message():
@@ -203,7 +203,7 @@ def test_dma_invalidate_coalesces_one_message():
     assert inv.pages == list(range(150))
     pair.pump()
     assert pair.states(0) == (INV, RW)
-    assert pair.server.region(1).dma_state[0] == RW
+    assert pair.server.region(1).tracker.get(0) == RW
     # A subsequent client read fetches the DMA bytes.
     pair.server_buf[0:2] = b"ZZ"
     pair.access("client", 0, False)
@@ -340,19 +340,15 @@ def per_page_dma_complete(node, region_id, offset, length):
     if length <= 0:
         return 0
     pages = list(range(offset // PAGE_SIZE, (offset + length - 1) // PAGE_SIZE + 1))
-    for page in pages:
-        region.epoch[page] += 1
     if region.policy == Policy.INVALIDATE:
         for page in pages:
             region.tracker.set(page, RW)
-            node._set_dma(region, page, RW)
         node.stats["invalidates_sent"] += 1
         node.send(dsmmod.PageInvalidate(region_id, pages))
     else:
         entries = [(page, region.store.read_page(page)) for page in pages]
         for page in pages:
             region.tracker.set(page, RO)
-            node._set_dma(region, page, RO)
         node.stats["pushes"] += 1
         node.send(dsmmod.PageUpdateBatch(region_id, entries))
     return len(pages)
@@ -362,9 +358,7 @@ def per_page_on_batch(node, body):
     region = node.region(body.region)
     for page, data in body.entries:
         region.store.write_page(page, data)
-        region.epoch[page] += 1
         region.tracker.set(page, RO)
-        node._set_dma(region, page, RO)
         node.stats["installs"] += 1
 
 
@@ -380,16 +374,14 @@ def _scattered_node(side, policy, npages, sent):
     else:
         region = make_client_region(1, 0, len(buf), BufferStore(buf), Origin.MAP_PAGE, policy)
     for page in range(npages):
-        state = (RW, RO, INV)[page * 7 % 3]
-        region.tracker.set(page, state)
-        node._set_dma(region, page, state)
+        region.tracker.set(page, (RW, RO, INV)[page * 7 % 3])
     node.register_region(region)
     return node, buf
 
 
 def _node_state(node):
     region = node.region(1)
-    return (region.tracker.snapshot(), region.dma_state, region.epoch, node.stats)
+    return (region.tracker.snapshot(), node.stats)
 
 
 DMA_RANGES = [
