@@ -22,6 +22,7 @@ from typing import Optional
 from . import bench, configure_logging_from_env
 from .client import Client, ClientConfig
 from .devices import ECHO_XFORM, POLLIN, default_devices
+from .errors import RioError
 from .kernel import RealKernel
 from .server import Server, ServerConfig
 from .testbed import LINK_PRESETS, resolve_link
@@ -158,8 +159,13 @@ def _cmd_client(args) -> int:
         await handle.close()
         await session.close()
 
-    kernel.run(drive())
-    endpoint.close()
+    try:
+        kernel.run(drive())
+    except RioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        endpoint.close()
     sys.stdout.write(bench.rows_to_csv(rows))
     return 0
 

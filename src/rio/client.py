@@ -13,19 +13,15 @@ reports errors -- nothing hangs.
 from __future__ import annotations
 
 import logging
-import struct
 from collections import deque
 from enum import Enum
 from typing import Awaitable, Callable, Optional
 
 from . import dsm as dsmmod
 from .devices import (
-    AUDIO_HEADER,
-    AUDIO_XFER_IN,
-    AUDIO_XFER_OUT,
-    AudioConfig,
     Device,
     GBUF_ALLOC,
+    GBUF_ARG,
     IOC_WRITE,
     MemoryContext,
     OP_LOG_MAX,
@@ -36,7 +32,6 @@ from .devices import (
 from .errors import DisconnectedError, RioError
 from .kernel import Cancelled, Future, Kernel
 from .memory import PAGE_SIZE, Allocator, ByteArena
-from .server import GBUF_REGION_BASE
 from .wire import (
     Channel,
     CleanupNotice,
@@ -104,35 +99,11 @@ CONNECTED, FALLING_BACK, FAILED, CLOSED = (
 # Prefetch registry
 # ---------------------------------------------------------------------------
 
-PrefetchFn = Callable[[int, int, ByteArena], list[tuple[int, int]]]
-
-
-def default_prefetch_registry(audio: Optional[AudioConfig] = None
-                              ) -> dict[tuple[str, int], PrefetchFn]:
-    """Per-(device class, ioctl nr) recipes for buffers to ship.
-
-    Entries exist where the command number alone cannot describe the
-    driver's reads (indirect buffers behind a header).
-    """
-    audio = audio or AudioConfig()
-
-    def _audio_header(cmd: int, arg: int, arena: ByteArena, data_bytes_per_frame: int):
-        ranges = [(arg, AUDIO_HEADER.size)]
-        _, data_addr, frames = AUDIO_HEADER.unpack(arena.read(arg, AUDIO_HEADER.size))
-        if data_bytes_per_frame and frames:
-            ranges.append((data_addr, frames * data_bytes_per_frame))
-        return ranges
-
-    return {
-        ("audio", ioc_nr(AUDIO_XFER_OUT)):
-            lambda cmd, arg, arena: _audio_header(cmd, arg, arena, audio.out_frame_bytes),
-        ("audio", ioc_nr(AUDIO_XFER_IN)):
-            lambda cmd, arg, arena: _audio_header(cmd, arg, arena, 0),
-    }
-
 
 def prefetch_ranges(registry, device_class: str, cmd: int, arg: int,
                     arena: ByteArena) -> list[tuple[int, int]]:
+    """The ranges to ship with an ioctl: the registry's recipe for (device
+    class, ioctl nr), called as ``recipe(cmd, arg, arena)``, else dir/size."""
     fn = registry.get((device_class, ioc_nr(cmd)))
     if fn is not None:
         return [(a, n) for a, n in fn(cmd, arg, arena) if n > 0]
@@ -172,7 +143,7 @@ class Client:
         self.config = config or ClientConfig()
         self.arena = ByteArena()
         self.allocator = Allocator()
-        self.registry = default_prefetch_registry() if registry is None else registry
+        self.registry = {} if registry is None else registry
         self.local_devices: dict[str, Device] = {}
         self.local_mem = LocalMemoryContext(self.arena)  # fallback devices run here
         self._next_session = 1
@@ -202,6 +173,7 @@ class ClientSession(Peer):
         self.kernel = client.kernel
         self.config = client.config
         endpoint.on_message = self.on_message
+        endpoint.on_close = lambda: self._declare_disconnect("link closed")
         self.estimator = RttEstimator()
         self.handles: dict[VirtualHandle, None] = {}  # insertion-ordered set of open handles
         self.coverage_misses = 0
@@ -538,10 +510,10 @@ class VirtualHandle:
             raise ValueError("global buffer size must be positive")
         base = self._alloc_shadow(size)
         # The allocator side owns the pages until the device writes them.
-        mapped = self._shadow_region(GBUF_REGION_BASE | buffer_id, base, size,
+        mapped = self._shadow_region(dsmmod.GBUF_REGION_BASE | buffer_id, base, size,
                                      dsmmod.Origin.GLOBAL_BUFFER, dsmmod.PageState.READ_WRITE)
-        arg = self.client.alloc(24)
-        self.client.arena.write(arg, struct.pack("<QQQ", size, buffer_id, base))
+        arg = self.client.alloc(GBUF_ARG.size)
+        self.client.arena.write(arg, GBUF_ARG.pack(size, buffer_id, base))
         result = await self.ioctl(GBUF_ALLOC, arg)
         if result < 0:
             self._forget_region(mapped)

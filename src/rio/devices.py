@@ -1,19 +1,22 @@
 """Virtual device contract and the reference device set.
 
+The contract comes first; the core modules import nothing from below it.
 Every device implements the device-file style interface (open / release /
 read / write / ioctl / mmap / close_map / poll) as coroutines, and may
 only touch process memory through the ``MemoryContext`` it is handed:
-``copy_from_user``, ``copy_to_user``, ``put_user``, ``map_page`` and the
-``dma_complete`` notification.  Scalars in process memory are
-little-endian; command numbers use the conventional dir/size/type/nr
-packing.
+``copy_from_user``, ``copy_to_user``, ``put_user``, ``map_page`` and
+``alloc_global_buffer``.  ``Device.region_attached`` hands a device its
+mapped region, ``RegionRef.dma_complete`` reports a DMA fill, and
+``GBUF_ALLOC`` (argument ``GBUF_ARG``) allocates every global buffer.
+Scalars in process memory are little-endian; command numbers use the
+conventional dir/size/type/nr packing.
 
 Reference devices:
 
 * ``sensor`` -- one 12-byte sample (three 32-bit readings) per cadence
   interval; poll blocks until a fresh sample is ready.
 * ``audio`` -- 48 kHz segment transfers in both directions, paced by the
-  device clock.
+  device clock, plus the client's prefetch recipe for them.
 * ``framesource`` -- mmap-backed frame buffers filled by DMA with a
   deterministic test pattern, plus global shared buffers for captures.
 * ``modem`` -- CALL/SMS submissions that complete after a carrier delay.
@@ -97,6 +100,10 @@ def ioc_nr(cmd: int) -> int:
     return (cmd >> _IOC_NRSHIFT) & 0xFF
 
 
+GBUF_ARG = struct.Struct("<QQQ")  # size, buffer_id, client_base
+GBUF_ALLOC = iow(ord("V"), 3, GBUF_ARG.size)
+
+
 # ---------------------------------------------------------------------------
 # Memory context
 # ---------------------------------------------------------------------------
@@ -123,10 +130,6 @@ class MemoryContext:
     def alloc_global_buffer(self, size: int, buffer_id: int, client_base: int):
         raise NotImplementedError("global buffers not supported here")
 
-    def dma_complete(self, region_ref, offset: int, length: int) -> None:
-        if region_ref is not None:
-            region_ref.dma_complete(offset, length)
-
 
 class RegionRef:
     """Device-side handle on a coherent buffer region.
@@ -142,9 +145,7 @@ class RegionRef:
         self.buf = buf
         self._owner = owner  # object with _dma_complete(region_id, offset, length)
 
-    def dma_complete(self, offset: int = 0, length: Optional[int] = None) -> None:
-        if length is None:
-            length = self.length - offset
+    def dma_complete(self, offset: int, length: int) -> None:
         self._owner._dma_complete(self.region_id, offset, length)
 
 
@@ -194,6 +195,9 @@ class Device:
 
     async def mmap(self, desc, length: int, offset: int, mem: MemoryContext) -> int:
         return -ENODEV
+
+    def region_attached(self, desc, region_ref: RegionRef) -> None:
+        """Hook: the pages this descriptor's ``mmap`` mapped now form a region."""
 
     async def close_map(self, desc, region_ref) -> None:
         self.log("close_map", desc)
@@ -403,6 +407,27 @@ class AudioDevice(Device):
         return mask
 
 
+def audio_prefetch_registry(audio: Optional[AudioConfig] = None) -> dict:
+    """The client's prefetch recipes for the audio transfers: the header,
+    and for playback the frames it points at, which the command number
+    cannot describe.  ``SimWorld`` registers them."""
+    audio = audio or AudioConfig()
+
+    def _audio_header(cmd: int, arg: int, arena, data_bytes_per_frame: int):
+        ranges = [(arg, AUDIO_HEADER.size)]
+        _, data_addr, frames = AUDIO_HEADER.unpack(arena.read(arg, AUDIO_HEADER.size))
+        if data_bytes_per_frame and frames:
+            ranges.append((data_addr, frames * data_bytes_per_frame))
+        return ranges
+
+    return {
+        ("audio", ioc_nr(AUDIO_XFER_OUT)):
+            lambda cmd, arg, arena: _audio_header(cmd, arg, arena, audio.out_frame_bytes),
+        ("audio", ioc_nr(AUDIO_XFER_IN)):
+            lambda cmd, arg, arena: _audio_header(cmd, arg, arena, 0),
+    }
+
+
 def _ramp(first: int, nbytes: int, out: Optional[bytearray] = None) -> Optional[bytes]:
     """``nbytes`` bytes where byte i is (first + 7*i) % 256: written into
     the start of ``out`` if one is given, else returned.
@@ -454,7 +479,6 @@ class FrameFormat:
 
 FRAME_SETUP = iow(ord("V"), 1, 12)   # {width u32, height u32, buffer count u32}
 FRAME_DQ = io(ord("V"), 2)
-GBUF_ALLOC = iow(ord("V"), 3, 24)    # {size u64, buffer_id u64, client_base u64}
 FRAME_CAPTURE = io(ord("V"), 4)      # arg = global buffer id
 
 
@@ -506,15 +530,15 @@ class FrameSourceDevice(Device):
                 return -EINVAL
             idx = desc.frame_seq % desc.count
             frame_pattern(desc.frame_seq, desc.fmt.frame_bytes, desc.buffers[idx])
-            mem.dma_complete(desc.region_ref, idx * desc.fmt.buffer_bytes,
-                             desc.fmt.frame_bytes)
+            desc.region_ref.dma_complete(idx * desc.fmt.buffer_bytes,
+                                         desc.fmt.frame_bytes)
             desc.frame_seq += 1
             desc.frame_ready = True
             self._wake_pollers(desc, POLLIN)
             return idx
         if cmd == GBUF_ALLOC:
-            raw = await mem.copy_from_user(arg, 24)
-            size, buffer_id, client_base = struct.unpack("<QQQ", raw)
+            raw = await mem.copy_from_user(arg, GBUF_ARG.size)
+            size, buffer_id, client_base = GBUF_ARG.unpack(raw)
             if size == 0 or buffer_id in desc.gbufs:
                 return -EINVAL
             try:
@@ -529,7 +553,7 @@ class FrameSourceDevice(Device):
                 return -EINVAL
             desc.capture_seq += 1
             frame_pattern(desc.capture_seq, ref.length, ref.buf)
-            mem.dma_complete(ref, 0, ref.length)
+            ref.dma_complete(0, ref.length)
             return 0
         return -ENOTTY
 

@@ -30,6 +30,7 @@ from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch, Protocol
 
 SECTION_PAGES = 256      # 1 MB
 SPLIT_UNIT_PAGES = 512   # 2 MB: one split covers two adjacent sections
+GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
 
 
 class PageState(IntEnum):
@@ -370,7 +371,11 @@ class DsmNode:
         handler = self._handlers.get(type(body))
         if handler is None:
             raise ProtocolFault(f"unexpected coherence body {body!r}")
-        handler(body)
+        try:
+            handler(body)
+        except DsmError as exc:
+            # A region or page this side does not hold: the peer is at fault.
+            raise ProtocolFault(str(exc)) from exc
 
     def _on_fetch(self, body: PageFetch) -> None:
         region = self.region(body.region)

@@ -56,8 +56,6 @@ from .wire import (
 
 log = logging.getLogger("rio.server")
 
-GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
-
 _POLL = FileOp.POLL  # a module name: an enum class attribute costs more to read
 
 CAUSE_HEARTBEAT_TIMEOUT = "HeartbeatTimeout"
@@ -70,7 +68,7 @@ COPY_ROUND_LIMIT = 16  # per-op guard against pathological devices
 
 @dataclass
 class ServerConfig(SessionConfig):
-    dma_policy: dsmmod.Policy = dsmmod.Policy.UPDATE_PUSH  # framesource maps + global buffers
+    dma_policy: dsmmod.Policy = dsmmod.Policy.UPDATE_PUSH  # every region the server builds
 
 
 @dataclass
@@ -300,12 +298,10 @@ class ServerSession(Peer):
             if target_off != i * PAGE_SIZE:
                 return -EINVAL
         store = _MappedPagesStore([(buf, off) for buf, off, _ in by_addr])
-        policy = (self.config.dma_policy if entry.device.class_name == "framesource"
-                  else dsmmod.Policy.INVALIDATE)
         region_id = self._region_id
         self._region_id += 1
         region = dsmmod.make_server_region(region_id, base, req.length, store,
-                                           dsmmod.Origin.MAP_PAGE, policy)
+                                           dsmmod.Origin.MAP_PAGE, self.config.dma_policy)
         # The client maps the whole range: split the kernel-side sections
         # down to page tracking and account the mappings.
         region.tracker.split(0, npages)
@@ -314,9 +310,7 @@ class ServerSession(Peer):
         self.dsm.register_region(region)
         ref = RegionRef(region_id, req.length, None, self)
         self.regions[region_id] = _RegionRec(region_id, entry.desc.desc_id, ref)
-        attach = getattr(entry.device, "region_attached", None)
-        if attach is not None:
-            attach(entry.desc, ref)
+        entry.device.region_attached(entry.desc, ref)
         return region_id
 
     async def _run_close_map(self, entry: _DescEntry, req: FileOpRequest,
@@ -377,7 +371,7 @@ class ServerSession(Peer):
                              desc_id: int) -> RegionRef:
         if size <= 0:
             raise dsmmod.DsmError("global buffer size must be positive")
-        region_id = GBUF_REGION_BASE | buffer_id
+        region_id = dsmmod.GBUF_REGION_BASE | buffer_id
         if region_id in self.dsm.regions:
             raise dsmmod.DsmError(f"global buffer {buffer_id} already exists")
         buf = bytearray(dsmmod.pages_for(size) * PAGE_SIZE)
@@ -537,7 +531,3 @@ class ServerMemoryContext(MemoryContext):
     def alloc_global_buffer(self, size: int, buffer_id: int, client_base: int) -> RegionRef:
         return self.session.create_global_buffer(size, buffer_id, client_base,
                                                  self.desc_id)
-
-    def dma_complete(self, region_ref, offset: int, length: int) -> None:
-        if region_ref is not None:
-            region_ref.dma_complete(offset, length)

@@ -17,8 +17,8 @@ import dataclasses
 import random
 from typing import Optional
 
-from .client import Client, ClientConfig, ClientSession, default_prefetch_registry
-from .devices import AudioConfig, default_devices
+from .client import Client, ClientConfig, ClientSession
+from .devices import AudioConfig, audio_prefetch_registry, default_devices
 from .dsm import Policy
 from .kernel import SimKernel
 from .server import Server, ServerConfig
@@ -79,7 +79,7 @@ class SimWorld:
         self.server = Server(self.kernel, self.devices,
                              ServerConfig(**shared, dma_policy=dsm_policy))
         self.client = Client(self.kernel, ClientConfig(**shared),
-                             registry=default_prefetch_registry(self.audio_config))
+                             registry=audio_prefetch_registry(self.audio_config))
         self.server.attach(self.link.b)
         self.session: ClientSession = self.client.connect(self.link.a)
 

@@ -638,10 +638,12 @@ class WireStats:
 
 
 class Endpoint:
-    """One side of a transport.  Assign ``on_message`` before traffic flows."""
+    """One side of a transport.  Assign ``on_message`` before traffic
+    flows; ``on_close``, if set, is called once when the transport closes."""
 
     def __init__(self) -> None:
         self.on_message: Optional[Callable[[Message], None]] = None
+        self.on_close: Optional[Callable[[], None]] = None
 
     def send(self, msg: Message) -> float:
         raise NotImplementedError
@@ -724,7 +726,6 @@ class TcpEndpoint(Endpoint):
         self.sock = sock
         self.stats = WireStats()
         self._framer = Framer()
-        self.on_close: Optional[Callable[[], None]] = None
         sock.setblocking(True)
         kernel.add_reader(sock, self._readable)
 

@@ -19,8 +19,8 @@ from rio.devices import (
     io,
     iowr,
 )
-from rio.errors import DisconnectedError
-from rio.memory import ByteArena
+from rio.errors import DisconnectedError, RioError
+from rio.memory import PAGE_SIZE, ByteArena
 from rio.testbed import SimWorld, link_preset
 from rio.wire import (
     COHERENCE_KINDS,
@@ -38,6 +38,10 @@ from rio.wire import (
     Message,
     OpenAck,
     OpenRequest,
+    PageData,
+    PageFetch,
+    PageInvalidate,
+    PageUpdateBatch,
     SimulatedLink,
     decode_body,
     encode_body,
@@ -501,6 +505,69 @@ def test_kind_the_receiver_never_gets_tears_the_session_down(receiver, kind, bod
         assert not world.session.live
         assert "disconnect declared (protocol error)" in caplog.text
         assert not world.server.stats.cleanups
+
+
+# Coherence bodies that name what the receiver does not hold: region 77,
+# which no one registered, or page 5 of a live one-page region.
+_FOREIGN_COHERENCE = {
+    "fetch-unknown-region": lambda live: PageFetch(77, 0),
+    "data-unknown-region": lambda live: PageData(77, 0, bytes(PAGE_SIZE)),
+    "invalidate-unknown-region": lambda live: PageInvalidate(77, [0]),
+    "batch-unknown-region": lambda live: PageUpdateBatch(77, [(0, bytes(PAGE_SIZE))]),
+    "fetch-past-the-end": lambda live: PageFetch(live, 5),
+    "invalidate-past-the-end": lambda live: PageInvalidate(live, [5]),
+    "batch-past-the-end": lambda live: PageUpdateBatch(live, [(5, bytes(PAGE_SIZE))]),
+}
+
+
+async def _one_page_region(session):
+    handle = await session.open("framesource")
+    return handle, await handle.alloc_global_buffer(PAGE_SIZE, buffer_id=1)
+
+
+@pytest.mark.parametrize("make_body", _FOREIGN_COHERENCE.values(), ids=_FOREIGN_COHERENCE)
+def test_a_foreign_coherence_frame_drops_only_the_sending_session(make_body):
+    world = SimWorld(link="lan")
+    link = SimulatedLink(world.kernel, link_preset("lan"), rng=world.rng)
+    world.server.attach(link.b)
+    hostile = world.client.connect(link.a)
+
+    async def main():
+        _, region = await _one_page_region(hostile)
+        hostile._send(make_body(region.region_id))
+        await world.kernel.sleep(50)
+        link.cut()  # the hostile client's later frames would open a new session
+        handle = await world.session.open("echodev")
+        arg = world.client.alloc(24)
+        world.client.arena.write(arg + 4, bytes(range(8)))
+        assert await handle.ioctl(ECHO_XFORM, arg) == 0
+        await handle.close()
+        await world.session.close()
+        await world.kernel.sleep(50)
+        return world.client.arena.read(arg + 12, 8)
+
+    assert world.run(main()) == bytes((~i) & 0xFF for i in range(8))
+    assert list(world.server.stats.cleanups) == [(hostile.session_id, "LinkDown"),
+                                                 (world.session.session_id, "ClientClose")]
+    assert all(v == 0 for v in world.census().values())
+
+
+@pytest.mark.parametrize("make_body", _FOREIGN_COHERENCE.values(), ids=_FOREIGN_COHERENCE)
+def test_a_foreign_coherence_frame_is_a_protocol_error_at_the_client(make_body, caplog):
+    world = SimWorld(link="lan")
+
+    async def main():
+        handle, region = await _one_page_region(world.session)
+        server_session = next(iter(world.server.sessions.values()))
+        server_session._send(make_body(region.region_id))
+        await world.kernel.sleep(50)
+        with pytest.raises(RioError):
+            await handle.ioctl(FRAME_SETUP, 0)
+
+    with caplog.at_level(logging.INFO, logger="rio.client"):
+        world.run(main())
+    assert not world.session.live
+    assert "disconnect declared (protocol error)" in caplog.text
 
 
 def test_two_clients_with_the_same_session_id_on_one_server():

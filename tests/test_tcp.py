@@ -1,15 +1,28 @@
 """Real-socket transport: stubs over localhost TCP."""
 
+import io
 import socket
 import struct
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 from rio.client import Client, ClientConfig
 from rio.devices import ECHO_XFORM, default_devices
 from rio.kernel import RealKernel
+from rio.memory import PAGE_SIZE
 from rio.server import Server, ServerConfig
-from rio.wire import TcpEndpoint
+from rio.wire import (
+    KIND_CHANNEL,
+    Kind,
+    Message,
+    PageFetch,
+    PageInvalidate,
+    PageUpdateBatch,
+    TcpEndpoint,
+    encode_body,
+    encode_frame,
+)
 
 
 def _free_port():
@@ -73,8 +86,9 @@ def test_echodev_over_tcp_loopback():
     assert not thread.is_alive()
 
 
-def test_garbage_bytes_drop_the_connection_not_the_server():
-    port = _free_port()
+def _serve_in_thread(port, connections):
+    """A server on ``port`` in a thread; it stops when its ``connections``-th
+    connection closes, and sets the returned event once it has stopped."""
     ready = threading.Event()
     stopped = threading.Event()
 
@@ -84,16 +98,16 @@ def test_garbage_bytes_drop_the_connection_not_the_server():
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", port))
-        listener.listen(2)
+        listener.listen(connections)
         ready.set()
-        sessions = []
+        accepted = []
 
         def accept():
             sock, _ = listener.accept()
             endpoint = TcpEndpoint(kernel, sock)
             server.attach(endpoint)
-            sessions.append(endpoint)
-            if len(sessions) == 2:
+            accepted.append(endpoint)
+            if len(accepted) == connections:
                 endpoint.on_close = kernel.stop
 
         kernel.add_reader(listener, accept)
@@ -101,18 +115,14 @@ def test_garbage_bytes_drop_the_connection_not_the_server():
         listener.close()
         stopped.set()
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
+    threading.Thread(target=serve, daemon=True).start()
     assert ready.wait(5.0)
     time.sleep(0.05)
+    return stopped
 
-    # First connection sends garbage; the server must survive it.
-    vandal = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-    vandal.sendall(b"\xff" * 64)
-    time.sleep(0.2)
-    vandal.close()
 
-    # Second connection does real work, then closes to stop the server.
+def _echo_over_tcp(port):
+    """One echodev ioctl from a fresh client; returns the ioctl's result."""
     kernel = RealKernel()
     client = Client(kernel, ClientConfig())
     sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
@@ -126,8 +136,43 @@ def test_garbage_bytes_drop_the_connection_not_the_server():
         await session.close()
         return result
 
-    assert kernel.run(drive()) == 0
-    endpoint.close()
+    try:
+        return kernel.run(drive())
+    finally:
+        endpoint.close()
+
+
+def test_garbage_bytes_drop_the_connection_not_the_server():
+    port = _free_port()
+    stopped = _serve_in_thread(port, connections=2)
+
+    # First connection sends garbage; the server must survive it.
+    vandal = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    vandal.sendall(b"\xff" * 64)
+    time.sleep(0.2)
+    vandal.close()
+
+    # Second connection does real work, then closes to stop the server.
+    assert _echo_over_tcp(port) == 0
+    assert stopped.wait(5.0)
+
+
+def test_coherence_frames_naming_an_unknown_region_drop_only_their_connection():
+    port = _free_port()
+    bodies = [(Kind.PAGE_FETCH, PageFetch(77, 0)),
+              (Kind.PAGE_INVALIDATE, PageInvalidate(77, [0])),
+              (Kind.PAGE_UPDATE_BATCH, PageUpdateBatch(77, [(0, bytes(PAGE_SIZE))]))]
+    stopped = _serve_in_thread(port, connections=len(bodies) + 1)
+
+    # Each vandal's first frame is well formed and names region 77.
+    for kind, body in bodies:
+        vandal = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        vandal.sendall(encode_frame(Message(1, 0, KIND_CHANNEL[kind], kind,
+                                            encode_body(body))))
+        time.sleep(0.1)
+        vandal.close()
+
+    assert _echo_over_tcp(port) == 0
     assert stopped.wait(5.0)
 
 
@@ -136,3 +181,27 @@ def test_cli_client_reports_unreachable_server():
     rc = run_cli(["client", "--host", "127.0.0.1", "--port", str(_free_port()),
                   "--device", "sensor", "--count", "1"])
     assert rc == 1
+
+
+def test_cli_client_reports_a_closed_connection_without_a_traceback():
+    from rio.cli import run_cli
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def accept_and_close():
+        sock, _ = listener.accept()
+        sock.close()
+
+    threading.Thread(target=accept_and_close, daemon=True).start()
+    err = io.StringIO()
+    start = time.monotonic()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = run_cli(["client", "--port", str(listener.getsockname()[1]),
+                      "--device", "echodev"])
+    elapsed = time.monotonic() - start
+    listener.close()
+    assert rc == 1
+    assert "error:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < 1.0  # the closed socket, not the 1.5 s heartbeat horizon
