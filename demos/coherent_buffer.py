@@ -2,7 +2,9 @@
 
 The client allocates a frame-sized buffer that both sides register in the
 DSM.  The server device DMA-fills its mirror; under the invalidate policy
-the client's first read of each page fetches it on demand, and the bytes
+the client's reads fetch the pages on demand, each read its run of invalid
+pages in round trips of up to 16 pages: one fetch for the first page, ten
+for the other 149, so the last line reads ``total fetches: 11``.  The bytes
 match the device's pattern function exactly.
 """
 

@@ -159,14 +159,17 @@ def _cmd_client(args) -> int:
         await handle.close()
         await session.close()
 
+    error = None
     try:
         kernel.run(drive())
     except RioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error = exc
     finally:
         endpoint.close()
-    sys.stdout.write(bench.rows_to_csv(rows))
+    sys.stdout.write(bench.rows_to_csv(rows))  # what was measured, even before an error
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -307,14 +307,16 @@ class ClientSession(Peer):
             return  # already permitted: no coherence traffic, no waiter
         await self._acquire_page(region_id, page, write)
 
-    async def _acquire_page(self, region_id: int, page: int, write: bool) -> None:
-        """Start or join the page's coherence traffic until access is granted."""
+    async def _acquire_page(self, region_id: int, page: int, write: bool,
+                            npages: int = 1) -> None:
+        """Start or join the page's coherence traffic until access is granted;
+        a read of ``npages`` pages fetches the invalid run it starts."""
         while True:
             if not self.live:
                 raise DisconnectedError(detail="session closed")
             fut = Future("page-wait")
             try:
-                if self.dsm.access(region_id, page, write, waiter=fut.set_result):
+                if self.dsm.access(region_id, page, write, fut.set_result, npages):
                     return
             except dsmmod.DsmError as exc:
                 raise DisconnectedError(detail=str(exc)) if not self.live else exc
@@ -350,8 +352,8 @@ class MappedRegion:
 
     async def page_read(self, addr: int, length: int) -> bytes:
         # Every page passes its own permission check.  Each run of pages
-        # readable now is one arena read; the first page that is not waits
-        # for its coherence traffic and is then read on its own.
+        # readable now is one arena read; the first page that is not fetches
+        # the invalid run it starts, which is then read with the pages after it.
         self._check_range(addr, length)
         session, base, region_id = self.session, self.base, self.region_id
         read = session.client.arena.read
@@ -362,8 +364,8 @@ class MappedRegion:
             page = (pos - base) // PAGE_SIZE
             n = session.dsm.readable_run(region_id, page, last - page + 1) if session.live else 0
             if n == 0:
-                await session._acquire_page(region_id, page, False)
-                n = 1
+                await session._acquire_page(region_id, page, False, last - page + 1)
+                continue  # the page is readable now: take the run it starts
             stop = min(end, base + (page + n) * PAGE_SIZE)
             parts.append(read(pos, stop - pos))
             pos = stop

@@ -3,10 +3,12 @@
 A region pairs real pages on the server with shadow pages on the client.
 Both sides run a ``DsmNode``; coherence is tracked per 4 KB page, each
 page being read-write, read-only, or invalid.  Writes revoke the peer's
-copy; reads fetch on demand.  Device DMA bypasses access checks, so DMA
-completions enter through an explicit hook that either invalidates the
-peer (one coalesced message) or pushes every touched page in a single
-batch (update-push, used for frame streams).
+copy; reads fetch on demand.  A read fetches the whole run of invalid
+pages it needs, up to ``FETCH_RUN_PAGES``, in one round trip; a write
+claims one page.  Device DMA bypasses access checks, so DMA completions
+enter through an explicit hook that either invalidates the peer (one
+coalesced message) or pushes every touched page in a single batch
+(update-push, used for frame streams).
 
 The node core is scheduler-free: ``access``/``handle`` make synchronous
 state transitions and emit outgoing messages through a callback, which
@@ -31,6 +33,10 @@ from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch, Protocol
 SECTION_PAGES = 256      # 1 MB
 SPLIT_UNIT_PAGES = 512   # 2 MB: one split covers two adjacent sections
 GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
+# Pages in one fetch run.  A link direction is FIFO, so a reply holds back
+# the heartbeat acks behind it: 64 KB takes 0.42 s at wan's 1.2 Mbps, well
+# inside the 1.5 s heartbeat horizon.
+FETCH_RUN_PAGES = 16
 
 
 class PageState(IntEnum):
@@ -243,8 +249,12 @@ class Region:
 
 @dataclass
 class _Pending:
+    """One fetch in flight, shared by every page of its run."""
+
     write: bool
     want_ownership: bool  # False on the two-step path; the retry claims separately
+    first: int
+    count: int
     waiters: list[Callable[[], None]] = field(default_factory=list)
 
 
@@ -283,7 +293,8 @@ class DsmNode:
         self.regions.pop(region_id, None)
         for key in [k for k in self._pending if k[0] == region_id]:
             pending = self._pending.pop(key)
-            for wake in pending.waiters:
+            waiters, pending.waiters = pending.waiters, []  # a run wakes once
+            for wake in waiters:
                 wake()
 
     def region(self, region_id: int) -> Region:
@@ -299,13 +310,16 @@ class DsmNode:
     # -- local access path ---------------------------------------------------
 
     def access(self, region_id: int, page: int, write: bool,
-               waiter: Optional[Callable[[], None]] = None) -> bool:
+               waiter: Optional[Callable[[], None]] = None, npages: int = 1) -> bool:
         """Attempt a local page access.
 
         Returns True when the access may proceed immediately.  Otherwise
         coherence traffic was started (or is already in flight) and
         ``waiter`` will be called once the page state changes; the caller
-        must then retry.
+        must then retry.  A read that goes on for ``npages`` pages fetches
+        the invalid, page-tracked pages after ``page`` with it, up to the
+        first page that is held or already in flight and to
+        ``FETCH_RUN_PAGES`` in all.
         """
         region = self.region(region_id)
         tracker = region.tracker
@@ -328,12 +342,20 @@ class DsmNode:
             return True
         # Invalid: fetch, optionally with ownership folded in.
         want_own = write and self.coalesce_fetch_own
-        pending = _Pending(write=write, want_ownership=want_own)
+        end = page + 1
+        if not write:
+            states, paged, pending_keys = tracker.states, tracker.paged, self._pending
+            stop = min(page + min(npages, FETCH_RUN_PAGES), tracker.npages)
+            while (end < stop and states[end] == INVALID and paged[end // SPLIT_UNIT_PAGES]
+                   and (region_id, end) not in pending_keys):
+                end += 1
+        pending = _Pending(write, want_own, page, end - page)
         if waiter is not None:
             pending.waiters.append(waiter)
-        self._pending[key] = pending
+        for run_page in range(page, end):
+            self._pending[(region_id, run_page)] = pending
         self.stats["fetches"] += 1
-        self.send(PageFetch(region_id, page, want_own))
+        self.send(PageFetch(region_id, page, want_own, end - page))
         return False
 
     def ready(self, region_id: int, page: int, write: bool) -> bool:
@@ -379,28 +401,34 @@ class DsmNode:
 
     def _on_fetch(self, body: PageFetch) -> None:
         region = self.region(body.region)
-        state = region.tracker.get(body.page)
-        if state == INVALID:
+        first, count, tracker = body.page, body.count, region.tracker
+        if not 1 <= count <= FETCH_RUN_PAGES or (count > 1 and body.want_ownership):
+            raise ProtocolFault(f"fetch of {count} pages, ownership {body.want_ownership}")
+        if INVALID in tracker.states[first : first + count]:
             raise ProtocolFault(
-                f"peer fetched page {body.page} of region {body.region} "
-                f"which is invalid on both sides"
+                f"peer fetched pages {first}..{first + count - 1} of region "
+                f"{body.region}, one of which is invalid on both sides"
             )
-        self.send(PageData(body.region, body.page, region.store.read_page(body.page)))
-        if body.want_ownership:
-            region.tracker.set(body.page, INVALID)
-        elif state == READ_WRITE:
-            region.tracker.set(body.page, READ_ONLY)
+        read_page = region.store.read_page
+        # DsmError past the region's end, before anything is sent
+        tracker.set_range(first, count, INVALID if body.want_ownership else READ_ONLY)
+        self.send(PageData(body.region, first, [read_page(p) for p in range(first, first + count)]))
 
     def _on_data(self, body: PageData) -> None:
-        key = (body.region, body.page)
-        pending = self._pending.get(key)
-        if pending is None:
-            raise ProtocolFault(f"page data for {key} with no fetch in flight")
-        region = self.region(body.region)
-        region.store.write_page(body.page, body.data)
-        self.stats["installs"] += 1
-        region.tracker.set(body.page, READ_WRITE if pending.want_ownership else READ_ONLY)
-        del self._pending[key]
+        region_id, first, pages = body.region, body.page, body.data
+        pending = self._pending.get((region_id, first))
+        if pending is None or pending.first != first or pending.count != len(pages):
+            raise ProtocolFault(f"data for {len(pages)} pages from page {first} of region "
+                                f"{region_id} is not the run of a fetch in flight")
+        region = self.region(region_id)
+        write_page = region.store.write_page
+        for page, data in enumerate(pages, first):
+            write_page(page, data)
+        self.stats["installs"] += len(pages)
+        region.tracker.set_range(first, len(pages),
+                                 READ_WRITE if pending.want_ownership else READ_ONLY)
+        for page in range(first, first + len(pages)):
+            del self._pending[(region_id, page)]
         for wake in pending.waiters:
             wake()
 

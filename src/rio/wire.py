@@ -26,11 +26,12 @@ payload decodes exactly, every byte accounted for, or raises
 
 Copies: a frame's bytes are copied once into the frame, by the one join
 or concatenation in ``encode_frame``, and once out of it, when
-``decode_frame`` takes the payload.  An update batch is sent as a tuple of
-its parts (the head, then each page's index and buffer), which
-``encode_frame`` joins with the header, so a pushed page goes from the
-device buffer into the frame in that one copy.  Page bytes decoded from a
-payload stay views of it until the receiver installs them.
+``decode_frame`` takes the payload.  An update batch or a run of fetched
+pages is sent as a tuple of its parts (the head, then each page's buffer,
+after its index in a batch), which ``encode_frame`` joins with the header,
+so a pushed or fetched page goes from the device buffer into the frame in
+that one copy.  Page bytes decoded from a payload stay views of it until
+the receiver installs them.
 
 Sessions: ``Peer`` is the session core of both stubs.  It numbers the
 frames it sends per channel, derives the kind and channel of each body it
@@ -249,13 +250,14 @@ class PageFetch:
     region: int
     page: int
     want_ownership: bool = False
+    count: int = 1  # pages from ``page`` on; an ownership claim takes one
 
 
 @dataclass(slots=True)
 class PageData:
     region: int
     page: int
-    data: bytes
+    data: list[bytes]  # one buffer (or view) per page, from ``page`` on
 
 
 @dataclass(slots=True)
@@ -302,7 +304,7 @@ class OpenAck:
 # A counted tail's count is the last field of its kind's head layout.
 NO_TAIL = 0
 RAW = 1       # the rest of the payload
-PAGE = 2      # exactly one page
+PAGE = 2      # one or more whole pages
 ENTRIES = 3   # count x (u64 address, u32 length, that many bytes)
 U32S = 4      # count x u32
 NAME = 5      # count bytes of UTF-8
@@ -329,7 +331,7 @@ _LAYOUTS = (
     (Kind.COPY_REQUEST, Channel.FILE_OP, CopyRequest, ">QBQI", RAW,
      {1: _values(CopyDir)}, _copy_data_fits),
     (Kind.COPY_RESPONSE, Channel.FILE_OP, CopyResponse, ">Q", RAW, {}, None),
-    (Kind.PAGE_FETCH, Channel.COHERENCE, PageFetch, ">QIB", NO_TAIL, {2: _FLAG}, None),
+    (Kind.PAGE_FETCH, Channel.COHERENCE, PageFetch, ">QIBI", NO_TAIL, {2: _FLAG}, None),
     (Kind.PAGE_DATA, Channel.COHERENCE, PageData, ">QI", PAGE, {}, None),
     (Kind.PAGE_INVALIDATE, Channel.COHERENCE, PageInvalidate, ">QH", U32S, {}, None),
     (Kind.PAGE_UPDATE_BATCH, Channel.COHERENCE, PageUpdateBatch, ">QH", PAGES, {}, None),
@@ -374,16 +376,17 @@ _PAGE_ENTRY = _PAGE_INDEX.size + PAGE_SIZE
 
 
 def _payload(row: _Row, body):
-    """The payload of ``body``: bytes, or for a page batch a tuple of its
-    parts (the head, then each page's index and its buffer, not a copy),
-    which ``encode_frame`` joins with the frame header."""
+    """The payload of ``body``: bytes, or for page data or a page batch a
+    tuple of its parts (the head, then each page's index if batched and its
+    buffer, not a copy), which ``encode_frame`` joins with the frame header."""
     vals = row.fields(body)
     tail = row.tail
     if tail == NO_TAIL:
         return row.head.pack(*vals)
     data = vals[-1]
     if tail == RAW or tail == PAGE:
-        return row.head.pack(*vals[:-1]) + data
+        head = row.head.pack(*vals[:-1])
+        return (head, *data) if tail == PAGE else head + data
     if tail == NAME:
         data = data.encode()
     head = row.head.pack(*vals[:-1], len(data))
@@ -432,8 +435,11 @@ def decode_body(msg: Message):
             end = size
             data = bytes(payload[off:])
         elif tail == PAGE:
-            end += PAGE_SIZE
-            data = memoryview(payload)[off:end]
+            end = size
+            if end == off or (end - off) % PAGE_SIZE:
+                raise ValueError(f"{end - off} bytes are not whole pages")
+            view = memoryview(payload)
+            data = [view[pos : pos + PAGE_SIZE] for pos in range(off, end, PAGE_SIZE)]
         else:
             *vals, count = vals
             if tail == ENTRIES:

@@ -4,8 +4,11 @@ Two tools:
 
 * ``explore`` -- exhaustive interleaving exploration of a two-node,
   two-page model running the real ``DsmNode`` engine, checking the
-  single-writer invariant in every reachable state and byte agreement in
-  every quiescent one.
+  single-writer invariant in every reachable state, byte agreement in
+  every quiescent one, and that no state is stuck short of quiescence.
+  A server program may also send stray page data, which the client must
+  either install as the exact run of a fetch in flight or reject with
+  ``ProtocolFault`` before it changes anything.
 * ``run_coordinated_trace`` / ``run_uncoordinated_trace`` -- randomized
   traces over the real wire (simulated link), checked against a serial
   last-writer oracle for coordinated traces.
@@ -23,6 +26,7 @@ from rio.dsm import (
     PageState,
     PageStore,
     Policy,
+    ProtocolFault,
     _Pending,
     make_client_region,
     make_server_region,
@@ -60,9 +64,10 @@ class TagStore(PageStore):
 
 @dataclass(frozen=True)
 class Op:
-    kind: str  # "read" | "write" | "dma"
+    kind: str  # "read" | "write" | "dma" | "stray" (server: unasked-for page data)
     page: int
     tag: int = 0
+    count: int = 1  # pages a read (or stray data) covers from ``page`` on
 
 
 class ModelWorld:
@@ -81,6 +86,10 @@ class ModelWorld:
         self.busy = {"client": False, "server": False}  # op started, blocked
         self.wake = {"client": False, "server": False}
         self.fault: Optional[str] = None
+        # A program that sends stray data is a hostile peer: a ProtocolFault
+        # that changes nothing tears the session down instead of failing.
+        self.hostile = any(op.kind == "stray" for op in server_prog)
+        self.torn_down = False
         self.stores = {"client": TagStore(self.NPAGES), "server": TagStore(self.NPAGES)}
         self.nodes = {
             "client": DsmNode(DsmNode.CLIENT, self.q_cs.append,
@@ -101,27 +110,29 @@ class ModelWorld:
     @staticmethod
     def _key_body(body) -> tuple:
         if isinstance(body, PageFetch):
-            return ("F", body.page, body.want_ownership)
+            return ("F", body.page, body.want_ownership, body.count)
         if isinstance(body, PageData):
-            return ("D", body.page, body.data)
+            return ("D", body.page, tuple(body.data))
         if isinstance(body, PageInvalidate):
             return ("I", tuple(body.pages))
         if isinstance(body, PageUpdateBatch):
             return ("B", tuple((p, d) for p, d in body.entries))
         raise AssertionError(body)
 
+    def _node_key(self, side: str) -> tuple:
+        node = self.nodes[side]
+        return (tuple(node.region(1).tracker.states), tuple(self.stores[side].tags),
+                tuple(sorted((k[1], v.write, v.want_ownership, v.first, v.count)
+                             for k, v in node._pending.items())))
+
     def key(self) -> tuple:
         parts = []
         for side in ("client", "server"):
-            node = self.nodes[side]
-            region = node.region(1)
-            parts.append(tuple(region.tracker.get(p) for p in range(self.NPAGES)))
-            parts.append(tuple(self.stores[side].tags))
-            parts.append(tuple(sorted(
-                (k[1], v.write, v.want_ownership) for k, v in node._pending.items())))
+            parts.append(self._node_key(side))
             parts.append((self.pc[side], self.busy[side], self.wake[side]))
         parts.append(tuple(self._key_body(b) for b in self.q_cs))
         parts.append(tuple(self._key_body(b) for b in self.q_sc))
+        parts.append(self.torn_down)
         return tuple(parts)
 
     def copy(self) -> "ModelWorld":
@@ -132,17 +143,18 @@ class ModelWorld:
         fresh.pc = dict(self.pc)
         fresh.busy = dict(self.busy)
         fresh.wake = dict(self.wake)
+        fresh.torn_down = self.torn_down
         for side in ("client", "server"):
             fresh.stores[side].tags = list(self.stores[side].tags)
             src = self.nodes[side].region(1)
             dst = fresh.nodes[side].region(1)
             dst.tracker.states[:] = src.tracker.states
-            node = fresh.nodes[side]
-            node._pending = {
-                k: _Pending(write=v.write, want_ownership=v.want_ownership,
-                            waiters=[fresh._waker(side)])
-                for k, v in self.nodes[side]._pending.items()
-            }
+            runs: dict[int, _Pending] = {}  # one shared record per run, as in the node
+            for k, v in self.nodes[side]._pending.items():
+                if id(v) not in runs:
+                    runs[id(v)] = _Pending(v.write, v.want_ownership, v.first, v.count,
+                                           waiters=[fresh._waker(side)])
+                fresh.nodes[side]._pending[k] = runs[id(v)]
         return fresh
 
     def _waker(self, side: str):
@@ -172,7 +184,7 @@ class ModelWorld:
         try:
             if kind == "deliver":
                 queue = self.q_cs if side == "server" else self.q_sc
-                self.nodes[side].handle(queue.pop(0))
+                self._deliver(side, queue.pop(0))
             elif kind == "start":
                 self.busy[side] = True
                 self._attempt(side)
@@ -181,6 +193,26 @@ class ModelWorld:
                 self._attempt(side)
         except Exception as exc:  # any engine fault is a model failure
             self.fault = f"{type(exc).__name__}: {exc}"
+
+    def _deliver(self, side: str, body) -> None:
+        node = self.nodes[side]
+        if not self.hostile:
+            node.handle(body)
+            return
+        pending = node._pending.get((1, body.page)) if isinstance(body, PageData) else None
+        exact_run = pending is not None and (pending.first, pending.count) == (
+            body.page, len(body.data))
+        before = self._node_key(side)
+        try:
+            node.handle(body)
+        except ProtocolFault:
+            if self._node_key(side) != before:
+                raise AssertionError("a rejected message changed the node") from None
+            self.torn_down = True
+            return
+        if isinstance(body, PageData) and not exact_run:
+            raise AssertionError(f"installed page data {self._key_body(body)} "
+                                 f"that is not the run of a fetch in flight")
 
     def _attempt(self, side: str) -> None:
         op = self.programs[side][self.pc[side]]
@@ -191,11 +223,23 @@ class ModelWorld:
             node.dma_complete(1, op.page * PAGE_SIZE, PAGE_SIZE)
             self._finish(side)
             return
-        ok = node.access(1, op.page, op.kind == "write", waiter=self._waker(side))
+        if op.kind == "stray":
+            self.q_sc.append(PageData(1, op.page, [bytes([op.tag])] * op.count))
+            self._finish(side)
+            return
+        if op.kind == "read":
+            # Like ``page_read``: each page is checked, and a fetch takes the
+            # invalid run the rest of the read starts.
+            end = op.page + op.count
+            for page in range(op.page, end):
+                if not node.access(1, page, False, self._waker(side), end - page):
+                    return
+            self._finish(side)
+            return
+        ok = node.access(1, op.page, True, waiter=self._waker(side))
         if not ok:
             return
-        if op.kind == "write":
-            self.stores[side].write_page(op.page, bytes([op.tag]))
+        self.stores[side].write_page(op.page, bytes([op.tag]))
         self._finish(side)
 
     def _finish(self, side: str) -> None:
@@ -248,11 +292,17 @@ def explore(client_prog, server_prog, *, policy=Policy.INVALIDATE,
         world = frontier.pop()
         issue = world.check_always()
         assert issue is None, f"{issue} (programs {client_prog}/{server_prog})"
+        if world.torn_down:
+            continue  # a hostile peer's session ends here
+        actions = world.enabled_actions()
         if world.quiescent():
             issue = world.check_quiescent()
             assert issue is None, f"{issue} (programs {client_prog}/{server_prog})"
             quiescent += 1
-        for action in world.enabled_actions():
+        elif not actions:
+            raise AssertionError(f"stuck short of quiescence: {world.key()} "
+                                 f"(programs {client_prog}/{server_prog})")
+        for action in actions:
             child = world.copy()
             child.apply(action)
             key = child.key()

@@ -760,3 +760,29 @@ def test_page_read_by_runs_matches_the_per_page_reference(policy, prepare, fetch
     assert [page for side, _, kind, page, _ in sent
             if side == "client" and kind == "PageFetch"] == fetched
     assert result == _read_over_mixed_pages(policy, prepare, _per_page_read)
+
+
+@pytest.mark.parametrize("link,width,height", [
+    pytest.param("wan", 640, 480, id="vga-wan"),
+    pytest.param("lan", 1920, 1080, id="1080p-lan"),
+])
+def test_a_whole_frame_read_keeps_the_session_live(link, width, height):
+    # Each fetch reply holds back the heartbeat acks queued behind it on the
+    # link; runs of FETCH_RUN_PAGES keep them inside the heartbeat horizon.
+    frame_bytes = width * height * 2
+    buffer_bytes = -(-frame_bytes // PAGE_SIZE) * PAGE_SIZE
+    world = SimWorld(link, dsm_policy=Policy.INVALIDATE)
+
+    async def drive():
+        handle = await world.session.open("framesource")
+        arg = world.client.alloc(12)
+        world.client.arena.write(arg, struct.pack("<III", width, height, 3))
+        assert await handle.ioctl(FRAME_SETUP, arg) == 0
+        region = await handle.mmap(3 * buffer_bytes)
+        idx = await handle.ioctl(FRAME_DQ)
+        return await region.page_read(region.base + idx * buffer_bytes, frame_bytes)
+
+    assert world.run(drive()) == frame_pattern(0, frame_bytes)
+    assert world.session.live
+    world.advance(2000.0)  # past the heartbeat horizon once more
+    assert world.session.live

@@ -152,7 +152,48 @@ def test_fetch_on_read_write_replies_and_demotes():
     assert pair.server.region(1).tracker.get(0) == RO
     reply = pair.to_client.popleft()
     assert isinstance(reply, dsmmod.PageData)
-    assert reply.data == bytes([7]) * PAGE_SIZE
+    assert reply.data == [bytes([7]) * PAGE_SIZE]
+
+
+def test_a_read_fetches_its_invalid_run_in_one_exchange():
+    pair = Pair(npages=6)
+    pair.server_buf[:] = bytes(range(6)) * PAGE_SIZE
+    assert not pair.client.access(1, 3, True)  # a write's fetch already holds page 3
+    assert not pair.client.access(1, 0, False, npages=5)  # the run stops there
+    assert list(pair.to_server) == [dsmmod.PageFetch(1, 3, True),
+                                    dsmmod.PageFetch(1, 0, False, 3)]
+    pair.pump()
+    assert [pair.states(page) for page in range(6)] == (
+        [(RO, RO)] * 3 + [(RW, INV)] + [(INV, RW)] * 2)
+    assert pair.client_buf[: 4 * PAGE_SIZE] == pair.server_buf[: 4 * PAGE_SIZE]
+    assert pair.client.stats["fetches"] == 2
+    assert pair.client.stats["installs"] == 4
+    assert pair.client.quiescent()
+
+
+def test_a_read_fetches_at_most_fetch_run_pages_per_exchange():
+    cap = dsmmod.FETCH_RUN_PAGES
+    pair = Pair(npages=cap + 4)
+    assert not pair.client.access(1, 0, False, npages=cap + 4)
+    assert list(pair.to_server) == [dsmmod.PageFetch(1, 0, False, cap)]
+    pair.pump()
+    assert pair.client.readable_run(1, 0, cap + 4) == cap
+    # A longer run is one no peer of this code asks for: the server refuses it.
+    with pytest.raises(ProtocolFault):
+        pair.server.handle(dsmmod.PageFetch(1, 0, False, cap + 1))
+
+
+@pytest.mark.parametrize("first, npages", [(0, 2), (0, 4), (1, 3)],
+                         ids=["short", "long", "shifted"])
+def test_data_that_is_not_the_run_in_flight_is_a_fault_that_installs_nothing(first, npages):
+    pair = Pair(npages=5)
+    assert not pair.client.access(1, 0, False, npages=3)
+    before = (list(pair.client.region(1).tracker.states), bytes(pair.client_buf))
+    body = dsmmod.PageData(1, first, [bytes([9]) * PAGE_SIZE] * npages)
+    with pytest.raises(ProtocolFault):
+        pair.client.handle(body)
+    assert (list(pair.client.region(1).tracker.states), bytes(pair.client_buf)) == before
+    assert pair.client.stats["installs"] == 0
 
 
 def test_fetch_of_invalid_page_is_protocol_fault():

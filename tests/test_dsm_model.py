@@ -56,6 +56,43 @@ def test_cross_fetch_deadlock_freedom():
     assert quiescent >= 1
 
 
+RUN_READ = Op("read", 0, count=2)  # one read of both pages: one fetch for the invalid run
+
+
+@pytest.mark.parametrize("naive", [False, True], ids=["coalesced", "naive"])
+@pytest.mark.parametrize("policy", [Policy.INVALIDATE, Policy.UPDATE_PUSH],
+                         ids=lambda p: p.name)
+def test_run_read_against_server_writes_and_dma_all_interleavings(policy, naive):
+    for client_prog, server_prog in (
+        ((RUN_READ,), (Op("write", 1, 101), Op("dma", 0, 102))),
+        ((RUN_READ,), (Op("dma", 1, 101), Op("write", 0, 102))),
+        ((Op("write", 0, 1), RUN_READ), (Op("write", 1, 101), Op("dma", 0, 102))),
+        ((RUN_READ, Op("write", 0, 1)), (Op("dma", 0, 101), Op("read", 1))),
+    ):
+        states, quiescent = explore(client_prog, server_prog, policy=policy, naive=naive)
+        assert quiescent >= 1
+
+
+@pytest.mark.parametrize("stray", [Op("stray", 0, 50), Op("stray", 1, 51),
+                                   Op("stray", 0, 52, count=2)],
+                         ids=["first-page", "shifted", "whole-run"])
+def test_stray_page_data_installs_only_as_the_exact_run_in_flight(stray):
+    # The client takes unasked-for data only if it is exactly the run of a
+    # fetch in flight; anything else is a ProtocolFault that changes nothing.
+    explore((RUN_READ,), (stray,))
+    explore((Op("read", 1), RUN_READ), (Op("dma", 1, 101), stray))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CHANGES.md FOUND: a stale crossed ownership claim under "
+                          "update-push leaves the server page invalid, and the next "
+                          "fetch of it is a ProtocolFault")
+def test_crossed_claim_then_dma_under_update_push_all_interleavings():
+    explore((Op("read", 1), Op("write", 1, 1), Op("read", 1)),
+            (Op("write", 1, 101), Op("dma", 1, 102)),
+            policy=Policy.UPDATE_PUSH)
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_coordinated_traces_match_serial_oracle(seed):
     run_coordinated_trace(seed)

@@ -8,9 +8,11 @@ simulated number must regenerate it on purpose and say why:
     PYTHONPATH=src python tests/test_golden.py --write
 
 No bench scenario fetches pages on demand, so the fetch path under
-write-invalidate is pinned separately: five VGA frames, each pulled a
-page at a time, must end at the exact recorded clock, traffic and DSM
-counters.
+write-invalidate is pinned separately, twice: five VGA frames, each read
+whole (ten fetches pull the frame's 150 pages in runs of up to
+``FETCH_RUN_PAGES``) or one page per read (150 single-page fetches), must
+end at the exact recorded clock, traffic and DSM counters.  Like the CSV, a pin is re-recorded only on purpose, by
+running the test body, and the change that moves it says why.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ def expected_frame(k: int) -> bytes:
     return bytes((k * 131 + i * 7 + 23) % 256 for i in range(256)) * (FRAME_BYTES // 256)
 
 
-def test_fetch_path_simulated_numbers_pinned():
+def _fetch_five_frames(read_bytes: int):
+    """Five VGA frames under write-invalidate, each read ``read_bytes`` at a
+    time; returns the world and the frames read."""
     world = SimWorld("lan", seed=0, dsm_policy=Policy.INVALIDATE)
 
     async def drive():
@@ -76,25 +80,46 @@ def test_fetch_path_simulated_numbers_pinned():
         frames = []
         for _ in range(5):
             idx = await handle.ioctl(FRAME_DQ)
-            frames.append(await region.page_read(region.base + idx * BUFFER_BYTES,
-                                                 FRAME_BYTES))
+            base = region.base + idx * BUFFER_BYTES
+            frames.append(b"".join([
+                await region.page_read(base + off, min(read_bytes, FRAME_BYTES - off))
+                for off in range(0, FRAME_BYTES, read_bytes)]))
         return frames
 
-    frames = world.run(drive())
+    return world, world.run(drive())
+
+
+def _assert_pinned(world, frames, now, bytes_on_wire, frames_sent, client_dsm) -> None:
     assert frames == [expected_frame(k) for k in range(5)]
     (server_session,) = world.server.sessions.values()
-    assert world.now() == PINNED_NOW
-    assert world.stats.bytes_on_wire == PINNED_BYTES_ON_WIRE
-    assert world.stats.frames_sent == PINNED_FRAMES_SENT
-    assert world.session.dsm.stats == PINNED_CLIENT_DSM
+    assert world.now() == now
+    assert world.stats.bytes_on_wire == bytes_on_wire
+    assert world.stats.frames_sent == frames_sent
+    assert world.session.dsm.stats == client_dsm
     assert server_session.dsm.stats == PINNED_SERVER_DSM
 
 
-# Recorded by running the test body above; the clock is compared exactly.
-PINNED_NOW = 5004.031351753568
-PINNED_BYTES_ON_WIRE = 3128490
-PINNED_FRAMES_SENT = 1543
-PINNED_CLIENT_DSM = {"fetches": 750, "invalidates_sent": 0, "pushes": 0, "installs": 750}
+def test_fetch_path_simulated_numbers_pinned():
+    _assert_pinned(*_fetch_five_frames(FRAME_BYTES), PINNED_NOW, PINNED_BYTES_ON_WIRE,
+                   PINNED_FRAMES_SENT, PINNED_CLIENT_DSM)
+
+
+def test_per_page_fetch_path_simulated_numbers_pinned():
+    _assert_pinned(*_fetch_five_frames(4096), PER_PAGE_NOW, PER_PAGE_BYTES_ON_WIRE,
+                   PER_PAGE_FRAMES_SENT, PER_PAGE_CLIENT_DSM)
+
+
+# Recorded by running the test bodies above; the clock is compared exactly.
+# Whole-frame reads: ten fetches and replies per frame (runs of 16 pages).
+PINNED_NOW = 1898.368842875878
+PINNED_BYTES_ON_WIRE = 3080026
+PINNED_FRAMES_SENT = 129
+PINNED_CLIENT_DSM = {"fetches": 50, "invalidates_sent": 0, "pushes": 0, "installs": 750}
+# One page per read: 150 fetches and replies per frame.
+PER_PAGE_NOW = 5005.631924032758
+PER_PAGE_BYTES_ON_WIRE = 3131490
+PER_PAGE_FRAMES_SENT = 1543
+PER_PAGE_CLIENT_DSM = {"fetches": 750, "invalidates_sent": 0, "pushes": 0, "installs": 750}
 PINNED_SERVER_DSM = {"fetches": 0, "invalidates_sent": 5, "pushes": 0, "installs": 0}
 
 

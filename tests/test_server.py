@@ -508,21 +508,30 @@ def test_kind_the_receiver_never_gets_tears_the_session_down(receiver, kind, bod
 
 
 # Coherence bodies that name what the receiver does not hold: region 77,
-# which no one registered, or page 5 of a live one-page region.
+# which no one registered, or page 5 of a live one-page region; and fetches
+# of a run no receiver serves: no pages, a run past the one-page region's
+# end, or two pages with ownership, asked of the two-page region next to it.
 _FOREIGN_COHERENCE = {
     "fetch-unknown-region": lambda live: PageFetch(77, 0),
-    "data-unknown-region": lambda live: PageData(77, 0, bytes(PAGE_SIZE)),
+    "data-unknown-region": lambda live: PageData(77, 0, [bytes(PAGE_SIZE)]),
     "invalidate-unknown-region": lambda live: PageInvalidate(77, [0]),
     "batch-unknown-region": lambda live: PageUpdateBatch(77, [(0, bytes(PAGE_SIZE))]),
     "fetch-past-the-end": lambda live: PageFetch(live, 5),
     "invalidate-past-the-end": lambda live: PageInvalidate(live, [5]),
     "batch-past-the-end": lambda live: PageUpdateBatch(live, [(5, bytes(PAGE_SIZE))]),
+    "fetch-of-no-pages": lambda live: PageFetch(live, 0, False, 0),
+    "fetch-of-a-run-past-the-end": lambda live: PageFetch(live, 0, False, 2),
+    "owning-fetch-of-a-run": lambda live: PageFetch(live + 1, 0, True, 2),
 }
 
 
 async def _one_page_region(session):
+    """The handle and a one-page global buffer (id 1); buffer 2, the next
+    region id, spans two pages."""
     handle = await session.open("framesource")
-    return handle, await handle.alloc_global_buffer(PAGE_SIZE, buffer_id=1)
+    region = await handle.alloc_global_buffer(PAGE_SIZE, buffer_id=1)
+    await handle.alloc_global_buffer(2 * PAGE_SIZE, buffer_id=2)
+    return handle, region
 
 
 @pytest.mark.parametrize("make_body", _FOREIGN_COHERENCE.values(), ids=_FOREIGN_COHERENCE)

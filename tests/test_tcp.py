@@ -1,14 +1,19 @@
 """Real-socket transport: stubs over localhost TCP."""
 
 import io
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from rio.client import Client, ClientConfig
-from rio.devices import ECHO_XFORM, default_devices
+from rio.devices import ECHO_XFORM, FRAME_DQ, FRAME_SETUP, default_devices, frame_pattern
+from rio.dsm import FETCH_RUN_PAGES, Policy, pages_for
 from rio.kernel import RealKernel
 from rio.memory import PAGE_SIZE
 from rio.server import Server, ServerConfig
@@ -86,15 +91,18 @@ def test_echodev_over_tcp_loopback():
     assert not thread.is_alive()
 
 
-def _serve_in_thread(port, connections):
-    """A server on ``port`` in a thread; it stops when its ``connections``-th
-    connection closes, and sets the returned event once it has stopped."""
+def _serve_in_thread(port, connections, config=None, replies=None):
+    """A server on ``port`` in a thread, with ``config`` (``ServerConfig()``
+    by default); it stops when its ``connections``-th connection closes, and
+    sets the returned event once it has stopped.  With ``replies`` set, each
+    connection is closed by the server right after its ``replies``-th file-op
+    response."""
     ready = threading.Event()
     stopped = threading.Event()
 
     def serve():
         kernel = RealKernel()
-        server = Server(kernel, default_devices(kernel), ServerConfig())
+        server = Server(kernel, default_devices(kernel), config or ServerConfig())
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", port))
@@ -105,6 +113,18 @@ def _serve_in_thread(port, connections):
         def accept():
             sock, _ = listener.accept()
             endpoint = TcpEndpoint(kernel, sock)
+            if replies is not None:
+                sent = []
+
+                def send(msg, send=endpoint.send, endpoint=endpoint, sent=sent):
+                    at = send(msg)
+                    if msg.kind == Kind.FILE_OP_RESPONSE:
+                        sent.append(msg)
+                        if len(sent) == replies:
+                            endpoint.close()
+                    return at
+
+                endpoint.send = send
             server.attach(endpoint)
             accepted.append(endpoint)
             if len(accepted) == connections:
@@ -205,3 +225,57 @@ def test_cli_client_reports_a_closed_connection_without_a_traceback():
     assert "error:" in err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert elapsed < 1.0  # the closed socket, not the 1.5 s heartbeat horizon
+
+
+def test_a_vga_frame_read_whole_over_tcp_takes_one_page_fetch_per_run():
+    width, height, buffers = 640, 480, 3
+    frame_bytes = width * height * 2
+    buffer_bytes = pages_for(frame_bytes) * PAGE_SIZE
+    port = _free_port()
+    stopped = _serve_in_thread(port, connections=1,
+                               config=ServerConfig(dma_policy=Policy.INVALIDATE))
+    kernel = RealKernel()
+    client = Client(kernel, ClientConfig())
+    endpoint = TcpEndpoint(kernel, socket.create_connection(("127.0.0.1", port), timeout=5.0))
+    session = client.connect(endpoint)
+
+    async def drive():
+        handle = await session.open("framesource")
+        arg = client.alloc(12)
+        client.arena.write(arg, struct.pack("<III", width, height, buffers))
+        assert await handle.ioctl(FRAME_SETUP, arg) == 0
+        region = await handle.mmap(buffers * buffer_bytes)
+        idx = await handle.ioctl(FRAME_DQ)
+        frame = await region.page_read(region.base + idx * buffer_bytes, frame_bytes)
+        await session.close()
+        return frame
+
+    try:
+        frame = kernel.run(drive())
+    finally:
+        endpoint.close()
+    assert frame == frame_pattern(0, frame_bytes)
+    # one PAGE_FETCH per run of FETCH_RUN_PAGES: 10 for the 150 pages
+    assert session.dsm.stats["fetches"] == -(-150 // FETCH_RUN_PAGES) == 10
+    assert session.dsm.stats["installs"] == 150
+    assert stopped.wait(5.0)
+
+
+def test_cli_client_prints_the_rows_it_measured_before_the_server_closed():
+    from rio.cli import run_cli
+    samples = 3
+    port = _free_port()
+    # The open, then a poll and a read per sample; the server closes the
+    # connection right after the last read's response.
+    stopped = _serve_in_thread(port, connections=1, replies=1 + 2 * samples)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run_cli(["client", "--port", str(port), "--device", "sensor", "--count", "50"])
+    assert rc == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "scenario,param,metric,value,round_trips,bytes_on_wire"
+    assert [line.split(",")[1] for line in lines[1:]] == [f"sample={i}" for i in range(samples)]
+    assert all(line.startswith("tcp,sample=") and ",read_ms," in line for line in lines[1:])
+    assert err.getvalue().startswith("error:")
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert stopped.wait(5.0)

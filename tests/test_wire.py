@@ -196,7 +196,9 @@ def test_copy_and_page_codecs():
         CopyRequest(1, CopyDir.FROM_USER, 0x20, 16),
         CopyRequest(2, CopyDir.TO_USER, 0x40, 3, b"abc"),
         PageFetch(5, 17, True),
-        PageData(5, 17, bytes(4096)),
+        PageFetch(5, 17, False, 150),
+        PageData(5, 17, [bytes(4096)]),
+        PageData(5, 17, [bytes(4096), b"\x01" * 4096]),
         PageInvalidate(5, [1, 2, 9]),
         PageUpdateBatch(5, [(0, bytes(4096)), (3, bytes(4096))]),
         OpenRequest(2, "sensor"),
@@ -237,12 +239,15 @@ def _assert_rejected(kind: Kind, payload: bytes) -> None:
 
 
 def test_truncated_or_padded_page_data_is_a_protocol_error():
-    payload = encode_body(PageData(5, 17, bytes(range(256)) * 16))
+    page = bytes(range(256)) * 16
+    payload = encode_body(PageData(5, 17, [page]))
     assert decode_body(Message(1, 0, Channel.COHERENCE, Kind.PAGE_DATA, payload)).page == 17
-    for cut in _page_body_cuts([12], len(payload)):
+    for cut in _page_body_cuts([12], len(payload)):  # cut 12 leaves an empty run
         _assert_rejected(Kind.PAGE_DATA, payload[:cut])
-    for extra in (b"\x00", bytes(4), bytes(4096)):
+    for extra in (b"\x00", bytes(4), bytes(4095), bytes(4097), bytes(8191)):
         _assert_rejected(Kind.PAGE_DATA, payload + extra)
+    # A whole second page is a two-page run.
+    assert _decode(Kind.PAGE_DATA, payload + bytes(4096)) == PageData(5, 17, [page, bytes(4096)])
 
 
 def test_truncated_or_padded_update_batch_is_a_protocol_error():
@@ -266,7 +271,7 @@ _EXAMPLE_BODIES = [
     CopyRequest(2, CopyDir.TO_USER, 0x40, 3, b"abc"),
     CopyResponse(3, b"xyz"),
     PageFetch(5, 17, True),
-    PageData(5, 17, bytes(range(256)) * 16),
+    PageData(5, 17, [bytes(range(256)) * 16]),
     PageInvalidate(5, [1, 2, 9]),
     PageUpdateBatch(5, [(0, bytes(4096)), (3, b"\x01" * 4096)]),
     OpenRequest(2, "sensor"),
@@ -326,7 +331,8 @@ def test_copy_request_data_must_fit_its_direction_and_length():
 
 
 def test_flag_bytes_other_than_0_or_1_are_rejected():
-    _assert_rejected(Kind.PAGE_FETCH, encode_body(PageFetch(5, 17, True))[:-1] + b"\x02")
+    fetch = encode_body(PageFetch(5, 17, True))
+    _assert_rejected(Kind.PAGE_FETCH, fetch[:12] + b"\x02" + fetch[13:])  # the flag byte
     _assert_rejected(Kind.OPEN_ACK, b"\xff" + encode_body(OpenAck(True, 4, 0))[1:])
 
 
