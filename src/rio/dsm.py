@@ -3,12 +3,13 @@
 A region pairs real pages on the server with shadow pages on the client.
 Both sides run a ``DsmNode``; coherence is tracked per 4 KB page, each
 page being read-write, read-only, or invalid.  Writes revoke the peer's
-copy; reads fetch on demand.  A read fetches the whole run of invalid
-pages it needs, up to ``FETCH_RUN_PAGES``, in one round trip; a write
-claims one page.  Device DMA bypasses access checks, so DMA completions
-enter through an explicit hook that either invalidates the peer (one
-coalesced message) or pushes every touched page in a single batch
-(update-push, used for frame streams).
+copy; reads fetch on demand.  Every coherence message names one run of
+pages, ``(region, first page, count)``.  A read fetches the whole run of
+invalid pages it needs, up to ``FETCH_RUN_PAGES``, in one round trip; a
+write claims one page.  Device DMA bypasses access checks, so DMA
+completions enter through an explicit hook that either invalidates the
+peer's copy of the run or pushes the run's pages to it (update-push, used
+for frame streams).  Only the server pushes.
 
 The node core is scheduler-free: ``access``/``handle`` make synchronous
 state transitions and emit outgoing messages through a callback, which
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .memory import PAGE_SIZE, ByteArena
 from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch, ProtocolError
@@ -87,23 +88,28 @@ class PageStore:
         raise NotImplementedError
 
 
-class BufferStore(PageStore):
-    """Pages backed by one contiguous buffer (server-side real pages)."""
+class ViewStore(PageStore):
+    """Pages that are writable views of device memory (server-side real
+    pages): the pages a device mapped, or a buffer of whole pages.
 
-    def __init__(self, buf: bytearray) -> None:
-        self.buf = buf
+    ``read_page`` returns the page's view, not a copy; a buffer cannot be
+    resized while its views exist.  What the node sends is still a
+    snapshot: ``send`` encodes the frame, copying each page into it, before
+    it returns, so a later fill of the buffer does not reach a sent frame.
+    """
 
-    def read_page(self, index: int) -> bytes:
-        off = index * PAGE_SIZE
-        page = bytes(self.buf[off : off + PAGE_SIZE])
-        if len(page) < PAGE_SIZE:
-            page += b"\x00" * (PAGE_SIZE - len(page))
-        return page
+    def __init__(self, sources: Iterable[tuple[bytearray, int]]) -> None:
+        self.pages = [memoryview(buf)[off : off + PAGE_SIZE] for buf, off in sources]
+
+    @classmethod
+    def of_buffer(cls, buf: bytearray) -> "ViewStore":
+        return cls((buf, off) for off in range(0, len(buf), PAGE_SIZE))
+
+    def read_page(self, index: int) -> memoryview:
+        return self.pages[index]
 
     def write_page(self, index: int, data: bytes) -> None:
-        off = index * PAGE_SIZE
-        take = min(PAGE_SIZE, len(self.buf) - off)
-        self.buf[off : off + take] = data[:take]
+        self.pages[index][:] = data
 
 
 class ArenaStore(PageStore):
@@ -338,7 +344,7 @@ class DsmNode:
             # A write: claim ownership, revoke the peer's copy, take read-write.
             tracker.set(page, READ_WRITE)
             self.stats["invalidates_sent"] += 1
-            self.send(PageInvalidate(region_id, [page]))
+            self.send(PageInvalidate(region_id, page))
             return True
         # Invalid: fetch, optionally with ownership folded in.
         want_own = write and self.coalesce_fetch_own
@@ -414,45 +420,45 @@ class DsmNode:
         tracker.set_range(first, count, INVALID if body.want_ownership else READ_ONLY)
         self.send(PageData(body.region, first, [read_page(p) for p in range(first, first + count)]))
 
-    def _on_data(self, body: PageData) -> None:
-        region_id, first, pages = body.region, body.page, body.data
-        pending = self._pending.get((region_id, first))
-        if pending is None or pending.first != first or pending.count != len(pages):
-            raise ProtocolFault(f"data for {len(pages)} pages from page {first} of region "
-                                f"{region_id} is not the run of a fetch in flight")
-        region = self.region(region_id)
+    def _install(self, body, state: PageState) -> None:
+        """Write a run's pages and give them ``state``; a run the region
+        cannot take raises ``DsmError`` before any page is written."""
+        region = self.region(body.region)
+        region.tracker.set_range(body.page, len(body.data), state)
         write_page = region.store.write_page
-        for page, data in enumerate(pages, first):
+        for page, data in enumerate(body.data, body.page):
             write_page(page, data)
-        self.stats["installs"] += len(pages)
-        region.tracker.set_range(first, len(pages),
-                                 READ_WRITE if pending.want_ownership else READ_ONLY)
-        for page in range(first, first + len(pages)):
+        self.stats["installs"] += len(body.data)
+
+    def _on_data(self, body: PageData) -> None:
+        region_id, first, count = body.region, body.page, len(body.data)
+        pending = self._pending.get((region_id, first))
+        if pending is None or pending.first != first or pending.count != count:
+            raise ProtocolFault(f"data for {count} pages from page {first} of region "
+                                f"{region_id} is not the run of a fetch in flight")
+        self._install(body, READ_WRITE if pending.want_ownership else READ_ONLY)
+        for page in range(first, first + count):
             del self._pending[(region_id, page)]
         for wake in pending.waiters:
             wake()
 
     def _on_invalidate(self, body: PageInvalidate) -> None:
-        region = self.region(body.region)
-        for page in body.pages:
-            state = region.tracker.get(page)
-            if state == READ_WRITE and self.side == self.SERVER:
-                # Crossed ownership claims: the server is the serialization
-                # point and wins; the client's claim is void.
-                continue
-            region.tracker.set(page, INVALID)
+        tracker = self.region(body.region).tracker
+        if body.count < 1 or body.count > 1 and self.side == self.SERVER:
+            raise ProtocolFault(f"invalidate of {body.count} pages at the {self.side}")
+        if self.side == self.SERVER and tracker.get(body.page) == READ_WRITE:
+            # Crossed ownership claims: the server is the serialization
+            # point and wins; the client's claim is void.
+            return
+        tracker.set_range(body.page, body.count, INVALID)
 
     def _on_batch(self, body: PageUpdateBatch) -> None:
         # Pushed updates come from the serialization point: they install
         # unconditionally, demoting even a crossed local claim to read-only
         # (an uncoordinated local write loses to the device's DMA).
-        region = self.region(body.region)
-        pages = [page for page, _ in body.entries]
-        for first, npages in _runs(pages):
-            region.tracker.set_range(first, npages, READ_ONLY)
-        for page, data in body.entries:
-            region.store.write_page(page, data)
-        self.stats["installs"] += len(pages)
+        if self.side == self.SERVER:
+            raise ProtocolFault("only the server pushes pages")
+        self._install(body, READ_ONLY)
 
     # -- DMA completions -------------------------------------------------------
 
@@ -460,41 +466,32 @@ class DsmNode:
         """Apply the region's policy to pages a device just wrote.
 
         Returns the number of pages covered.  Invalidate policy: one
-        coalesced invalidation listing every touched page, local side
-        becomes read-write.  Update-push: one batch carrying every touched
-        page's bytes, both sides read-only.
+        invalidation of the touched run, local side becomes read-write.
+        Update-push: one batch carrying the run's bytes, both sides
+        read-only.
         """
         region = self.region(region_id)
         if length <= 0:
             return 0
         first = offset // PAGE_SIZE
-        end = (offset + length - 1) // PAGE_SIZE + 1
-        pages = range(first, end)
+        count = (offset + length - 1) // PAGE_SIZE + 1 - first
         invalidate = region.policy == Policy.INVALIDATE
         state = READ_WRITE if invalidate else READ_ONLY
-        region.tracker.set_range(first, len(pages), state)  # DsmError if section-tracked
+        region.tracker.set_range(first, count, state)  # DsmError if section-tracked
         if invalidate:
             self.stats["invalidates_sent"] += 1
-            self.send(PageInvalidate(region_id, list(pages)))
+            self.send(PageInvalidate(region_id, first, count))
         else:
             read_page = region.store.read_page
             self.stats["pushes"] += 1
-            self.send(PageUpdateBatch(region_id, [(page, read_page(page)) for page in pages]))
-        return len(pages)
+            self.send(PageUpdateBatch(region_id, first,
+                                      [read_page(page) for page in range(first, first + count)]))
+        return count
 
     # -- helpers ----------------------------------------------------------------
 
     def quiescent(self) -> bool:
         return not self._pending
-
-
-def _runs(pages: list[int]):
-    """Split a page list into (first page, count) runs of consecutive pages."""
-    start = 0
-    for i in range(1, len(pages) + 1):
-        if i == len(pages) or pages[i] != pages[i - 1] + 1:
-            yield pages[start], i - start
-            start = i
 
 
 # ---------------------------------------------------------------------------

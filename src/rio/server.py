@@ -100,6 +100,11 @@ class Server:
         key = (endpoint, msg.session_id)
         session = self.sessions.get(key)
         if session is None:
+            if msg.seq:
+                # A session's first frame has seq 0; a later one belongs to a
+                # session this server tore down, which stays down.
+                log.debug("session %d: frame after teardown dropped", msg.session_id)
+                return
             session = self.sessions[key] = ServerSession(self, msg.session_id, endpoint)
         session.on_message(msg)
 
@@ -131,27 +136,6 @@ class _RegionRec:
     region_id: int
     desc_id: int
     ref: RegionRef
-
-
-class _MappedPagesStore(dsmmod.PageStore):
-    """Region pages backed by the buffers a device handed to map_page.
-
-    Each page is kept as a view of its buffer, and ``read_page`` returns
-    that view, not a copy; a mapped buffer cannot be resized while its
-    region exists.  What the node sends is still a snapshot at DMA (or
-    fetch) time: the session's ``send`` encodes the frame, copying each
-    page into it, before it returns, so a later fill of the buffer does
-    not reach a frame already sent.
-    """
-
-    def __init__(self, sources: list[tuple[bytearray, int]]) -> None:
-        self.pages = [memoryview(buf)[off : off + PAGE_SIZE] for buf, off in sources]
-
-    def read_page(self, index: int) -> memoryview:
-        return self.pages[index]
-
-    def write_page(self, index: int, data: bytes) -> None:
-        self.pages[index][:] = data
 
 
 class ServerSession(Peer):
@@ -297,7 +281,7 @@ class ServerSession(Peer):
         for i, (_, _, target_off) in enumerate(by_addr):
             if target_off != i * PAGE_SIZE:
                 return -EINVAL
-        store = _MappedPagesStore([(buf, off) for buf, off, _ in by_addr])
+        store = dsmmod.ViewStore((buf, off) for buf, off, _ in by_addr)
         region_id = self._region_id
         self._region_id += 1
         region = dsmmod.make_server_region(region_id, base, req.length, store,
@@ -376,7 +360,7 @@ class ServerSession(Peer):
             raise dsmmod.DsmError(f"global buffer {buffer_id} already exists")
         buf = bytearray(dsmmod.pages_for(size) * PAGE_SIZE)
         region = dsmmod.make_server_region(
-            region_id, client_base, size, dsmmod.BufferStore(buf),
+            region_id, client_base, size, dsmmod.ViewStore.of_buffer(buf),
             dsmmod.Origin.GLOBAL_BUFFER, self.config.dma_policy,
             initial=dsmmod.PageState.INVALID)  # the client allocated it
         self.dsm.register_region(region)

@@ -26,12 +26,11 @@ payload decodes exactly, every byte accounted for, or raises
 
 Copies: a frame's bytes are copied once into the frame, by the one join
 or concatenation in ``encode_frame``, and once out of it, when
-``decode_frame`` takes the payload.  An update batch or a run of fetched
-pages is sent as a tuple of its parts (the head, then each page's buffer,
-after its index in a batch), which ``encode_frame`` joins with the header,
-so a pushed or fetched page goes from the device buffer into the frame in
-that one copy.  Page bytes decoded from a payload stay views of it until
-the receiver installs them.
+``decode_frame`` takes the payload.  A run of pushed or fetched pages is
+sent as a tuple of its parts (the head, then each page's buffer), which
+``encode_frame`` joins with the header, so a page goes from the device
+buffer into the frame in that one copy.  Page bytes decoded from a
+payload stay views of it until the receiver installs them.
 
 Sessions: ``Peer`` is the session core of both stubs.  It numbers the
 frames it sends per channel, derives the kind and channel of each body it
@@ -263,13 +262,15 @@ class PageData:
 @dataclass(slots=True)
 class PageInvalidate:
     region: int
-    pages: list[int]
+    page: int
+    count: int = 1  # pages from ``page`` on; an ownership claim takes one
 
 
 @dataclass(slots=True)
 class PageUpdateBatch:
     region: int
-    entries: list[tuple[int, bytes]]  # (page index, page bytes or a view of them)
+    page: int
+    data: list[bytes]  # one buffer (or view) per page, from ``page`` on
 
 
 @dataclass(slots=True)
@@ -306,9 +307,7 @@ NO_TAIL = 0
 RAW = 1       # the rest of the payload
 PAGE = 2      # one or more whole pages
 ENTRIES = 3   # count x (u64 address, u32 length, that many bytes)
-U32S = 4      # count x u32
-NAME = 5      # count bytes of UTF-8
-PAGES = 6     # count x (u32 page index, one page)
+NAME = 4      # count bytes of UTF-8
 
 _FLAG = {0: False, 1: True}
 
@@ -333,8 +332,8 @@ _LAYOUTS = (
     (Kind.COPY_RESPONSE, Channel.FILE_OP, CopyResponse, ">Q", RAW, {}, None),
     (Kind.PAGE_FETCH, Channel.COHERENCE, PageFetch, ">QIBI", NO_TAIL, {2: _FLAG}, None),
     (Kind.PAGE_DATA, Channel.COHERENCE, PageData, ">QI", PAGE, {}, None),
-    (Kind.PAGE_INVALIDATE, Channel.COHERENCE, PageInvalidate, ">QH", U32S, {}, None),
-    (Kind.PAGE_UPDATE_BATCH, Channel.COHERENCE, PageUpdateBatch, ">QH", PAGES, {}, None),
+    (Kind.PAGE_INVALIDATE, Channel.COHERENCE, PageInvalidate, ">QIH", NO_TAIL, {}, None),
+    (Kind.PAGE_UPDATE_BATCH, Channel.COHERENCE, PageUpdateBatch, ">QI", PAGE, {}, None),
     (Kind.HEARTBEAT, Channel.HEARTBEAT, Heartbeat, ">", NO_TAIL, {}, None),
     (Kind.HEARTBEAT_ACK, Channel.HEARTBEAT, HeartbeatAck, ">Q", NO_TAIL, {}, None),
     (Kind.CLEANUP, Channel.CONTROL, CleanupNotice, ">B", NO_TAIL, {}, None),
@@ -371,14 +370,12 @@ COHERENCE_KINDS = frozenset(k for k, c in KIND_CHANNEL.items() if c == Channel.C
 # Kinds that close a request/response pair on the file-operation channel.
 RESPONSE_KINDS = (Kind.FILE_OP_RESPONSE, Kind.COPY_RESPONSE)
 _ENTRY_HEAD = struct.Struct(">QI")
-_PAGE_INDEX = struct.Struct(">I")
-_PAGE_ENTRY = _PAGE_INDEX.size + PAGE_SIZE
 
 
 def _payload(row: _Row, body):
-    """The payload of ``body``: bytes, or for page data or a page batch a
-    tuple of its parts (the head, then each page's index if batched and its
-    buffer, not a copy), which ``encode_frame`` joins with the frame header."""
+    """The payload of ``body``: bytes, or for a run of pages a tuple of its
+    parts (the head, then each page's buffer, not a copy), which
+    ``encode_frame`` joins with the frame header."""
     vals = row.fields(body)
     tail = row.tail
     if tail == NO_TAIL:
@@ -392,19 +389,10 @@ def _payload(row: _Row, body):
     head = row.head.pack(*vals[:-1], len(data))
     if tail == NAME:
         return head + data
-    if tail == U32S:
-        return head + struct.pack(f">{len(data)}I", *data)
-    if tail == ENTRIES:
-        parts = [head]
-        for addr, chunk in data:
-            parts += (_ENTRY_HEAD.pack(addr, len(chunk)), chunk)
-        return b"".join(parts)
     parts = [head]
-    append, index = parts.append, _PAGE_INDEX.pack
-    for page, buf in data:
-        append(index(page))
-        append(buf)
-    return tuple(parts)
+    for addr, chunk in data:
+        parts += (_ENTRY_HEAD.pack(addr, len(chunk)), chunk)
+    return b"".join(parts)
 
 
 def encode_body(body) -> bytes:
@@ -448,17 +436,9 @@ def decode_body(msg: Message):
                     addr, n = _ENTRY_HEAD.unpack_from(payload, end)
                     end += _ENTRY_HEAD.size + n
                     data.append((addr, bytes(payload[end - n : end])))
-            elif tail == U32S:
-                end += 4 * count
-                data = list(struct.unpack_from(f">{count}I", payload, off))
-            elif tail == NAME:
+            else:
                 end += count
                 data = bytes(payload[off:end]).decode()
-            else:
-                end += count * _PAGE_ENTRY
-                view = memoryview(payload)
-                data = [(_PAGE_INDEX.unpack_from(payload, pos)[0], view[pos + 4 : pos + _PAGE_ENTRY])
-                        for pos in range(off, end, _PAGE_ENTRY)]
     except (struct.error, KeyError, ValueError) as exc:
         raise ProtocolError(f"bad {msg.kind.name} payload: {exc!r}") from None
     if end != size:

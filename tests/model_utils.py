@@ -67,7 +67,7 @@ class Op:
     kind: str  # "read" | "write" | "dma" | "stray" (server: unasked-for page data)
     page: int
     tag: int = 0
-    count: int = 1  # pages a read (or stray data) covers from ``page`` on
+    count: int = 1  # pages a read, a DMA or stray data covers from ``page`` on
 
 
 class ModelWorld:
@@ -114,9 +114,9 @@ class ModelWorld:
         if isinstance(body, PageData):
             return ("D", body.page, tuple(body.data))
         if isinstance(body, PageInvalidate):
-            return ("I", tuple(body.pages))
+            return ("I", body.page, body.count)
         if isinstance(body, PageUpdateBatch):
-            return ("B", tuple((p, d) for p, d in body.entries))
+            return ("B", body.page, tuple(body.data))
         raise AssertionError(body)
 
     def _node_key(self, side: str) -> tuple:
@@ -219,8 +219,9 @@ class ModelWorld:
         node = self.nodes[side]
         if op.kind == "dma":
             assert side == "server"
-            self.stores[side].write_page(op.page, bytes([op.tag]))
-            node.dma_complete(1, op.page * PAGE_SIZE, PAGE_SIZE)
+            for page in range(op.page, op.page + op.count):
+                self.stores[side].write_page(page, bytes([op.tag]))
+            node.dma_complete(1, op.page * PAGE_SIZE, op.count * PAGE_SIZE)
             self._finish(side)
             return
         if op.kind == "stray":

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from rio import dsm as dsmmod
 from rio.dsm import (
-    BufferStore,
     DsmError,
     DsmNode,
     Origin,
@@ -17,6 +16,7 @@ from rio.dsm import (
     SECTION_PAGES,
     SectionTracker,
     SPLIT_UNIT_PAGES,
+    ViewStore,
     make_client_region,
     make_server_region,
     pages_for,
@@ -41,10 +41,10 @@ class Pair:
         self.server_buf = bytearray(npages * PAGE_SIZE)
         length = npages * PAGE_SIZE
         self.client.register_region(make_client_region(
-            1, 0, length, BufferStore(self.client_buf), Origin.MAP_PAGE, policy,
+            1, 0, length, ViewStore.of_buffer(self.client_buf), Origin.MAP_PAGE, policy,
             initial=client_init))
         self.server.register_region(make_server_region(
-            1, 0, length, BufferStore(self.server_buf), Origin.GLOBAL_BUFFER,
+            1, 0, length, ViewStore.of_buffer(self.server_buf), Origin.GLOBAL_BUFFER,
             policy, initial=server_init))
 
     def node(self, side):
@@ -140,7 +140,7 @@ def test_unmapped_page_access_faults():
 
 def test_invalidate_on_read_only_goes_invalid_without_reply():
     pair = Pair(client_init=RO, server_init=RO)
-    pair.client.handle(dsmmod.PageInvalidate(1, [0]))
+    pair.client.handle(dsmmod.PageInvalidate(1, 0))
     assert pair.states(0)[0] == INV
     assert not pair.to_server
 
@@ -196,6 +196,24 @@ def test_data_that_is_not_the_run_in_flight_is_a_fault_that_installs_nothing(fir
     assert pair.client.stats["installs"] == 0
 
 
+@pytest.mark.parametrize("side,body", [
+    ("server", dsmmod.PageUpdateBatch(1, 0, [b"X" * PAGE_SIZE])),
+    ("server", dsmmod.PageInvalidate(1, 0, 2)),
+    ("server", dsmmod.PageInvalidate(1, 0, 0)),
+    ("client", dsmmod.PageInvalidate(1, 0, 0)),
+], ids=["push-to-the-server", "two-page-claim", "claim-of-no-pages", "invalidate-of-no-pages"])
+def test_a_run_no_peer_sends_this_side_is_a_fault_that_changes_nothing(side, body):
+    # Only the server pushes, a client claims one page, and a run has pages.
+    pair = Pair(client_init=RO, server_init=RO)
+    node = pair.node(side)
+    before = (list(node.region(1).tracker.states), bytes(pair.client_buf), bytes(pair.server_buf))
+    with pytest.raises(ProtocolFault):
+        node.handle(body)
+    assert (list(node.region(1).tracker.states), bytes(pair.client_buf),
+            bytes(pair.server_buf)) == before
+    assert node.stats["installs"] == 0
+
+
 def test_fetch_of_invalid_page_is_protocol_fault():
     pair = Pair(client_init=INV, server_init=RW)
     with pytest.raises(ProtocolFault):
@@ -206,8 +224,8 @@ def test_update_batch_installs_all_pages_read_only():
     npages = pages_for(640 * 480 * 2)
     assert npages == 150  # one VGA frame
     pair = Pair(npages=npages)
-    entries = [(i, bytes([i & 0xFF]) * PAGE_SIZE) for i in range(npages)]
-    pair.client.handle(dsmmod.PageUpdateBatch(1, entries))
+    pages = [bytes([i & 0xFF]) * PAGE_SIZE for i in range(npages)]
+    pair.client.handle(dsmmod.PageUpdateBatch(1, 0, pages))
     assert pair.client.stats["installs"] == 150
     for i in range(npages):
         assert pair.client.region(1).tracker.get(i) == RO
@@ -228,7 +246,7 @@ def test_dma_update_push_batches_whole_photo_buffer():
     assert covered == 1954
     (batch,) = list(pair.to_client)
     assert isinstance(batch, dsmmod.PageUpdateBatch)
-    assert len(batch.entries) == 1954
+    assert (batch.page, len(batch.data)) == (0, 1954)
     pair.pump()
     assert pair.states(0) == (RO, RO)
     assert pair.server.region(1).tracker.get(0) == RO
@@ -240,8 +258,7 @@ def test_dma_invalidate_coalesces_one_message():
     pair.server.dma_complete(1, 0, 640 * 480 * 2)
     assert len(pair.to_client) == 1
     (inv,) = list(pair.to_client)
-    assert isinstance(inv, dsmmod.PageInvalidate)
-    assert inv.pages == list(range(150))
+    assert inv == dsmmod.PageInvalidate(1, 0, 150)
     pair.pump()
     assert pair.states(0) == (INV, RW)
     assert pair.server.region(1).tracker.get(0) == RW
@@ -352,7 +369,7 @@ def test_split_then_coalesce_restores_tracking(units, tail_pages, states,
 
 def test_duplicate_region_id_rejected():
     node = DsmNode(DsmNode.CLIENT, lambda m: None)
-    region = make_client_region(5, 0, PAGE_SIZE, BufferStore(bytearray(PAGE_SIZE)),
+    region = make_client_region(5, 0, PAGE_SIZE, ViewStore.of_buffer(bytearray(PAGE_SIZE)),
                                 Origin.GLOBAL_BUFFER, Policy.INVALIDATE)
     node.register_region(region)
     with pytest.raises(DsmError):
@@ -376,7 +393,8 @@ NPAGES_1080P = pages_for(1920 * 1080 * 2)
 
 
 def per_page_dma_complete(node, region_id, offset, length):
-    """DMA completion applied one page at a time (the reference algorithm)."""
+    """DMA completion applied one page at a time (the reference algorithm);
+    the message names the run of pages it covers."""
     region = node.region(region_id)
     if length <= 0:
         return 0
@@ -385,19 +403,19 @@ def per_page_dma_complete(node, region_id, offset, length):
         for page in pages:
             region.tracker.set(page, RW)
         node.stats["invalidates_sent"] += 1
-        node.send(dsmmod.PageInvalidate(region_id, pages))
+        node.send(dsmmod.PageInvalidate(region_id, pages[0], len(pages)))
     else:
-        entries = [(page, region.store.read_page(page)) for page in pages]
+        data = [region.store.read_page(page) for page in pages]
         for page in pages:
             region.tracker.set(page, RO)
         node.stats["pushes"] += 1
-        node.send(dsmmod.PageUpdateBatch(region_id, entries))
+        node.send(dsmmod.PageUpdateBatch(region_id, pages[0], data))
     return len(pages)
 
 
 def per_page_on_batch(node, body):
     region = node.region(body.region)
-    for page, data in body.entries:
+    for page, data in enumerate(body.data, body.page):
         region.store.write_page(page, data)
         region.tracker.set(page, RO)
         node.stats["installs"] += 1
@@ -410,10 +428,10 @@ def _scattered_node(side, policy, npages, sent):
     if side == DsmNode.SERVER:
         for page in range(npages):
             buf[page * PAGE_SIZE : page * PAGE_SIZE + 4] = page.to_bytes(4, "little")
-        region = make_server_region(1, 0, len(buf), BufferStore(buf), Origin.MAP_PAGE, policy)
+        region = make_server_region(1, 0, len(buf), ViewStore.of_buffer(buf), Origin.MAP_PAGE, policy)
         region.tracker.split(0, npages)
     else:
-        region = make_client_region(1, 0, len(buf), BufferStore(buf), Origin.MAP_PAGE, policy)
+        region = make_client_region(1, 0, len(buf), ViewStore.of_buffer(buf), Origin.MAP_PAGE, policy)
     for page in range(npages):
         region.tracker.set(page, (RW, RO, INV)[page * 7 % 3])
     node.register_region(region)
@@ -459,17 +477,6 @@ def test_dma_range_transitions_equal_per_page_path(policy):
         assert client_buf == ref_client_buf
 
 
-def test_batch_with_scattered_pages_equals_per_page_path():
-    client, buf = _scattered_node(DsmNode.CLIENT, Policy.UPDATE_PUSH, NPAGES_1080P, [])
-    ref, ref_buf = _scattered_node(DsmNode.CLIENT, Policy.UPDATE_PUSH, NPAGES_1080P, [])
-    pages = [3, 4, 5, 9, 510, 511, 512, 513, 1012, 0]
-    body = dsmmod.PageUpdateBatch(1, [(p, bytes([p & 0xFF]) * PAGE_SIZE) for p in pages])
-    client.handle(body)
-    per_page_on_batch(ref, body)
-    assert _node_state(client) == _node_state(ref)
-    assert buf == ref_buf
-
-
 @pytest.mark.parametrize("policy", [Policy.INVALIDATE, Policy.UPDATE_PUSH])
 @pytest.mark.parametrize("first_page,npages", [
     (SPLIT_UNIT_PAGES - 4, 8),        # paged unit into a sectioned one
@@ -480,7 +487,7 @@ def test_dma_into_section_tracked_range_raises(policy, first_page, npages):
     sent = []
     node = DsmNode(DsmNode.SERVER, sent.append)
     region = make_server_region(1, 0, total * PAGE_SIZE,
-                                BufferStore(bytearray(total * PAGE_SIZE)),
+                                ViewStore.of_buffer(bytearray(total * PAGE_SIZE)),
                                 Origin.MAP_PAGE, policy)
     region.tracker.split(0, 1)  # only the first 2 MB unit is page-tracked
     node.register_region(region)

@@ -73,6 +73,25 @@ def test_run_read_against_server_writes_and_dma_all_interleavings(policy, naive)
         assert quiescent >= 1
 
 
+DMA_RUN = Op("dma", 0, 102, count=2)  # one DMA over both pages: one message for the run
+
+
+@pytest.mark.parametrize("naive", [False, True], ids=["coalesced", "naive"])
+@pytest.mark.parametrize("policy", [Policy.INVALIDATE, Policy.UPDATE_PUSH],
+                         ids=lambda p: p.name)
+def test_two_page_dma_against_client_reads_and_writes_all_interleavings(policy, naive):
+    for client_prog, server_prog in (
+        ((Op("write", 0, 1), Op("read", 1)), (DMA_RUN,)),
+        ((RUN_READ, Op("write", 1, 1)), (DMA_RUN,)),
+        ((Op("write", 0, 1), RUN_READ), (DMA_RUN,)),
+        ((Op("read", 1), Op("write", 1, 1)), (DMA_RUN, Op("read", 0))),
+        ((Op("write", 0, 1), Op("write", 1, 2)), (DMA_RUN, Op("dma", 0, 103, count=2))),
+        ((Op("read", 0), Op("write", 1, 1), RUN_READ), (Op("write", 0, 101), DMA_RUN)),
+    ):
+        states, quiescent = explore(client_prog, server_prog, policy=policy, naive=naive)
+        assert quiescent >= 1
+
+
 @pytest.mark.parametrize("stray", [Op("stray", 0, 50), Op("stray", 1, 51),
                                    Op("stray", 0, 52, count=2)],
                          ids=["first-page", "shifted", "whole-run"])
@@ -90,6 +109,16 @@ def test_stray_page_data_installs_only_as_the_exact_run_in_flight(stray):
 def test_crossed_claim_then_dma_under_update_push_all_interleavings():
     explore((Op("read", 1), Op("write", 1, 1), Op("read", 1)),
             (Op("write", 1, 101), Op("dma", 1, 102)),
+            policy=Policy.UPDATE_PUSH)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CHANGES.md FOUND: a stale crossed ownership claim under "
+                          "update-push leaves the server page invalid, and the next "
+                          "fetch of it is a ProtocolFault")
+def test_crossed_claim_then_two_page_dma_under_update_push_all_interleavings():
+    explore((Op("read", 0), Op("write", 0, 1), Op("read", 0)),
+            (Op("write", 0, 101), DMA_RUN),
             policy=Policy.UPDATE_PUSH)
 
 

@@ -111,13 +111,13 @@ def test_per_page_fetch_path_simulated_numbers_pinned():
 
 # Recorded by running the test bodies above; the clock is compared exactly.
 # Whole-frame reads: ten fetches and replies per frame (runs of 16 pages).
-PINNED_NOW = 1898.368842875878
-PINNED_BYTES_ON_WIRE = 3080026
+PINNED_NOW = 1896.778941078457
+PINNED_BYTES_ON_WIRE = 3077046
 PINNED_FRAMES_SENT = 129
 PINNED_CLIENT_DSM = {"fetches": 50, "invalidates_sent": 0, "pushes": 0, "installs": 750}
 # One page per read: 150 fetches and replies per frame.
-PER_PAGE_NOW = 5005.631924032758
-PER_PAGE_BYTES_ON_WIRE = 3131490
+PER_PAGE_NOW = 5004.042022235337
+PER_PAGE_BYTES_ON_WIRE = 3128510
 PER_PAGE_FRAMES_SENT = 1543
 PER_PAGE_CLIENT_DSM = {"fetches": 750, "invalidates_sent": 0, "pushes": 0, "installs": 750}
 PINNED_SERVER_DSM = {"fetches": 0, "invalidates_sent": 5, "pushes": 0, "installs": 0}

@@ -508,20 +508,28 @@ def test_kind_the_receiver_never_gets_tears_the_session_down(receiver, kind, bod
 
 
 # Coherence bodies that name what the receiver does not hold: region 77,
-# which no one registered, or page 5 of a live one-page region; and fetches
-# of a run no receiver serves: no pages, a run past the one-page region's
-# end, or two pages with ownership, asked of the two-page region next to it.
+# which no one registered, or page 5 of a live one-page region; and runs
+# no receiver serves: no pages, a run past the one-page region's end, or
+# two pages with ownership, asked of the two-page region next to it.
 _FOREIGN_COHERENCE = {
     "fetch-unknown-region": lambda live: PageFetch(77, 0),
     "data-unknown-region": lambda live: PageData(77, 0, [bytes(PAGE_SIZE)]),
-    "invalidate-unknown-region": lambda live: PageInvalidate(77, [0]),
-    "batch-unknown-region": lambda live: PageUpdateBatch(77, [(0, bytes(PAGE_SIZE))]),
+    "invalidate-unknown-region": lambda live: PageInvalidate(77, 0),
+    "batch-unknown-region": lambda live: PageUpdateBatch(77, 0, [bytes(PAGE_SIZE)]),
     "fetch-past-the-end": lambda live: PageFetch(live, 5),
-    "invalidate-past-the-end": lambda live: PageInvalidate(live, [5]),
-    "batch-past-the-end": lambda live: PageUpdateBatch(live, [(5, bytes(PAGE_SIZE))]),
+    "invalidate-past-the-end": lambda live: PageInvalidate(live, 5),
+    "batch-past-the-end": lambda live: PageUpdateBatch(live, 5, [bytes(PAGE_SIZE)]),
     "fetch-of-no-pages": lambda live: PageFetch(live, 0, False, 0),
     "fetch-of-a-run-past-the-end": lambda live: PageFetch(live, 0, False, 2),
     "owning-fetch-of-a-run": lambda live: PageFetch(live + 1, 0, True, 2),
+    "invalidate-of-no-pages": lambda live: PageInvalidate(live, 0, 0),
+}
+# What only the client sends wrong: only the server pushes pages, and a
+# client's claim names one page.
+_FOREIGN_TO_SERVER = {
+    **_FOREIGN_COHERENCE,
+    "batch-to-the-server": lambda live: PageUpdateBatch(live, 0, [b"X" * PAGE_SIZE]),
+    "claim-of-two-pages": lambda live: PageInvalidate(live + 1, 0, 2),
 }
 
 
@@ -534,15 +542,18 @@ async def _one_page_region(session):
     return handle, region
 
 
-@pytest.mark.parametrize("make_body", _FOREIGN_COHERENCE.values(), ids=_FOREIGN_COHERENCE)
+@pytest.mark.parametrize("make_body", _FOREIGN_TO_SERVER.values(), ids=_FOREIGN_TO_SERVER)
 def test_a_foreign_coherence_frame_drops_only_the_sending_session(make_body):
     world = SimWorld(link="lan")
     link = SimulatedLink(world.kernel, link_preset("lan"), rng=world.rng)
     world.server.attach(link.b)
     hostile = world.client.connect(link.a)
+    server_bufs = []
 
     async def main():
         _, region = await _one_page_region(hostile)
+        hostile_session = world.server.sessions[(link.b, hostile.session_id)]
+        server_bufs.extend(rec.ref.buf for rec in hostile_session.regions.values())
         hostile._send(make_body(region.region_id))
         await world.kernel.sleep(50)
         link.cut()  # the hostile client's later frames would open a new session
@@ -559,6 +570,25 @@ def test_a_foreign_coherence_frame_drops_only_the_sending_session(make_body):
     assert list(world.server.stats.cleanups) == [(hostile.session_id, "LinkDown"),
                                                  (world.session.session_id, "ClientClose")]
     assert all(v == 0 for v in world.census().values())
+    assert [bytes(buf) for buf in server_bufs] == [bytes(PAGE_SIZE), bytes(2 * PAGE_SIZE)]
+
+
+def test_a_session_the_server_tore_down_stays_down():
+    world = SimWorld(link="lan")
+    link = SimulatedLink(world.kernel, link_preset("lan"), rng=world.rng)
+    world.server.attach(link.b)
+    hostile = world.client.connect(link.a)
+
+    async def main():
+        await hostile.open("echodev")
+        hostile._send(PageFetch(77, 0))
+        # The client learns nothing, so it goes on sending heartbeats.
+        await world.kernel.sleep(1400)
+
+    world.run(main())
+    assert hostile.live
+    assert list(world.server.stats.cleanups) == [(hostile.session_id, "LinkDown")]
+    assert [sid for _, sid in world.server.sessions] == [world.session.session_id]
 
 
 @pytest.mark.parametrize("make_body", _FOREIGN_COHERENCE.values(), ids=_FOREIGN_COHERENCE)

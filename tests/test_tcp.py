@@ -180,8 +180,8 @@ def test_garbage_bytes_drop_the_connection_not_the_server():
 def test_coherence_frames_naming_an_unknown_region_drop_only_their_connection():
     port = _free_port()
     bodies = [(Kind.PAGE_FETCH, PageFetch(77, 0)),
-              (Kind.PAGE_INVALIDATE, PageInvalidate(77, [0])),
-              (Kind.PAGE_UPDATE_BATCH, PageUpdateBatch(77, [(0, bytes(PAGE_SIZE))]))]
+              (Kind.PAGE_INVALIDATE, PageInvalidate(77, 0)),
+              (Kind.PAGE_UPDATE_BATCH, PageUpdateBatch(77, 0, [bytes(PAGE_SIZE)]))]
     stopped = _serve_in_thread(port, connections=len(bodies) + 1)
 
     # Each vandal's first frame is well formed and names region 77.

@@ -199,8 +199,10 @@ def test_copy_and_page_codecs():
         PageFetch(5, 17, False, 150),
         PageData(5, 17, [bytes(4096)]),
         PageData(5, 17, [bytes(4096), b"\x01" * 4096]),
-        PageInvalidate(5, [1, 2, 9]),
-        PageUpdateBatch(5, [(0, bytes(4096)), (3, bytes(4096))]),
+        PageInvalidate(5, 1),
+        PageInvalidate(5, 1, 9),
+        PageUpdateBatch(5, 3, [bytes(4096)]),
+        PageUpdateBatch(5, 3, [bytes(4096), b"\x01" * 4096]),
         OpenRequest(2, "sensor"),
         OpenAck(False, 0, 19),
     ):
@@ -208,25 +210,24 @@ def test_copy_and_page_codecs():
 
 
 def test_update_batch_decoded_from_a_reused_buffer_owns_its_pages():
-    pages = [(p, bytes([p]) * 4096) for p in (4, 5, 6)]
-    body = PageUpdateBatch(2, pages)
+    pages = [bytes([p]) * 4096 for p in (4, 5, 6)]
+    body = PageUpdateBatch(2, 4, pages)
     buf = bytearray(encode_frame(Message(1, 0, Channel.COHERENCE, body.kind, encode_body(body))))
     msg, used = decode_frame(buf)
     assert used == len(buf)
     buf[:] = bytes(len(buf))  # the framer reuses its buffer after a decode
     decoded = decode_body(msg)
     assert decoded == body
-    assert [bytes(data) for _, data in decoded.entries] == [data for _, data in pages]
+    assert [bytes(data) for data in decoded.data] == pages
 
 
-def _page_body_cuts(entry_starts: list[int], end: int) -> list[int]:
-    """Lengths short of ``end``: every entry boundary, and cuts inside the
-    header and inside each page."""
-    cuts = set()
-    for start in entry_starts:
-        cuts.update({start, start + 1, start + 4, start + 100, start + 2048})
-    cuts.update({0, 1, 9, end - 100, end - 1})
-    return sorted(c for c in cuts if c < end)
+def _page_run_cuts(npages: int) -> list[int]:
+    """Lengths of a run payload of ``npages`` pages that hold no whole run:
+    inside the 12-byte head, the empty run, and cuts inside each page."""
+    cuts = {0, 1, 9, 12}
+    for start in range(12, 12 + npages * 4096, 4096):
+        cuts.update({start + 1, start + 4, start + 100, start + 2048, start + 4095})
+    return sorted(cuts)
 
 
 def _decode(kind: Kind, payload: bytes):
@@ -238,29 +239,28 @@ def _assert_rejected(kind: Kind, payload: bytes) -> None:
         _decode(kind, payload)
 
 
+def _assert_only_whole_page_runs_decode(body_type) -> None:
+    """An empty, short, padded or trailing run of pages is rejected."""
+    for npages in (1, 3):
+        pages = [bytes([p]) * 2048 + bytes(range(256)) * 8 for p in range(npages)]
+        body = body_type(5, 17, pages)
+        payload = encode_body(body)
+        assert len(payload) == 12 + npages * 4096
+        assert _decode(body.kind, payload) == body
+        for cut in _page_run_cuts(npages):
+            _assert_rejected(body.kind, payload[:cut])
+        for extra in (b"\x00", bytes(4), bytes(4095), bytes(4097), bytes(8191)):
+            _assert_rejected(body.kind, payload + extra)
+        # A whole further page makes the run one page longer.
+        assert _decode(body.kind, payload + bytes(4096)) == body_type(5, 17, pages + [bytes(4096)])
+
+
 def test_truncated_or_padded_page_data_is_a_protocol_error():
-    page = bytes(range(256)) * 16
-    payload = encode_body(PageData(5, 17, [page]))
-    assert decode_body(Message(1, 0, Channel.COHERENCE, Kind.PAGE_DATA, payload)).page == 17
-    for cut in _page_body_cuts([12], len(payload)):  # cut 12 leaves an empty run
-        _assert_rejected(Kind.PAGE_DATA, payload[:cut])
-    for extra in (b"\x00", bytes(4), bytes(4095), bytes(4097), bytes(8191)):
-        _assert_rejected(Kind.PAGE_DATA, payload + extra)
-    # A whole second page is a two-page run.
-    assert _decode(Kind.PAGE_DATA, payload + bytes(4096)) == PageData(5, 17, [page, bytes(4096)])
+    _assert_only_whole_page_runs_decode(PageData)
 
 
 def test_truncated_or_padded_update_batch_is_a_protocol_error():
-    pages = [(p, bytes([p]) * 4096) for p in (3, 4, 9)]
-    payload = encode_body(PageUpdateBatch(2, pages))
-    starts = [10 + i * (4 + 4096) for i in range(len(pages))]
-    assert len(payload) == 10 + 3 * 4100
-    assert decode_body(Message(1, 0, Channel.COHERENCE, Kind.PAGE_UPDATE_BATCH,
-                               payload)) == PageUpdateBatch(2, pages)
-    for cut in _page_body_cuts(starts, len(payload)):
-        _assert_rejected(Kind.PAGE_UPDATE_BATCH, payload[:cut])
-    for extra in (b"\x00", bytes(4), bytes(4100)):
-        _assert_rejected(Kind.PAGE_UPDATE_BATCH, payload + extra)
+    _assert_only_whole_page_runs_decode(PageUpdateBatch)
 
 
 _EXAMPLE_BODIES = [
@@ -272,8 +272,8 @@ _EXAMPLE_BODIES = [
     CopyResponse(3, b"xyz"),
     PageFetch(5, 17, True),
     PageData(5, 17, [bytes(range(256)) * 16]),
-    PageInvalidate(5, [1, 2, 9]),
-    PageUpdateBatch(5, [(0, bytes(4096)), (3, b"\x01" * 4096)]),
+    PageInvalidate(5, 1, 9),
+    PageUpdateBatch(5, 3, [bytes(4096), b"\x01" * 4096]),
     OpenRequest(2, "sensor"),
     OpenAck(True, 4, 0),
     HeartbeatAck(12),
@@ -285,7 +285,8 @@ _EXAMPLE_BODIES = [
 @pytest.mark.parametrize("body", _EXAMPLE_BODIES, ids=lambda b: type(b).__name__)
 def test_every_cut_or_padded_payload_decodes_exactly_or_is_a_protocol_error(body):
     payload = encode_body(body)
-    for candidate in [payload[:cut] for cut in range(len(payload))] + [payload + b"\x00"]:
+    padded = [payload + pad for pad in (b"\x00", bytes(4095), bytes(4096))]
+    for candidate in [payload[:cut] for cut in range(len(payload))] + padded:
         msg = Message(1, 0, KIND_CHANNEL[body.kind], body.kind, candidate)
         try:
             got = decode_body(msg)
@@ -341,7 +342,7 @@ def test_truncated_update_batch_installs_nothing_and_drops_the_session():
 
     world = SimWorld("loopback")
     session = world.session
-    payload = encode_body(PageUpdateBatch(1, [(0, b"\xab" * 4096)]))[:-100]
+    payload = encode_body(PageUpdateBatch(1, 0, [b"\xab" * 4096]))[:-100]
     session.on_message(Message(1, 0, Channel.COHERENCE, Kind.PAGE_UPDATE_BATCH, payload))
     world.advance(1.0)  # let the cancelled heartbeat task finish
     assert not session.live
@@ -437,7 +438,7 @@ def test_fifo_random_burst_property():
     async def sender():
         for i in range(50):
             msg = Message(1, i, Channel.COHERENCE, Kind.PAGE_INVALIDATE,
-                          encode_body(PageInvalidate(1, [0])))
+                          encode_body(PageInvalidate(1, 0)))
             link.a.send(msg)
             await kernel.sleep(rng.random() * 2)
 
