@@ -500,8 +500,7 @@ class VirtualHandle:
         region_id = await self._request(FileOp.MMAP, addr=base, length=length, offset=offset)
         if region_id < 0:
             raise RioError(f"mmap failed: errno {-region_id}")
-        return self._shadow_region(region_id, base, length, dsmmod.Origin.MAP_PAGE,
-                                   dsmmod.PageState.INVALID)
+        return self._shadow_region(region_id, base, length, dsmmod.PageState.INVALID)
 
     async def alloc_global_buffer(self, size: int, buffer_id: int) -> MappedRegion:
         """Allocate a buffer shared coherently with the server (camera-style)."""
@@ -513,7 +512,7 @@ class VirtualHandle:
         base = self._alloc_shadow(size)
         # The allocator side owns the pages until the device writes them.
         mapped = self._shadow_region(dsmmod.GBUF_REGION_BASE | buffer_id, base, size,
-                                     dsmmod.Origin.GLOBAL_BUFFER, dsmmod.PageState.READ_WRITE)
+                                     dsmmod.PageState.READ_WRITE)
         arg = self.client.alloc(GBUF_ARG.size)
         self.client.arena.write(arg, GBUF_ARG.pack(size, buffer_id, base))
         result = await self.ioctl(GBUF_ALLOC, arg)
@@ -525,12 +524,12 @@ class VirtualHandle:
     def _alloc_shadow(self, length: int) -> int:
         return self.client.alloc(dsmmod.pages_for(length) * PAGE_SIZE, align=2 * 1024 * 1024)
 
-    def _shadow_region(self, region_id: int, base: int, length: int, origin: dsmmod.Origin,
+    def _shadow_region(self, region_id: int, base: int, length: int,
                        initial: dsmmod.PageState) -> MappedRegion:
         """Register the client side of a coherent region at ``base``."""
-        self.session.dsm.register_region(dsmmod.make_client_region(
-            region_id, base, length, dsmmod.ArenaStore(self.client.arena, base),
-            origin, dsmmod.Policy.INVALIDATE, initial))
+        self.session.dsm.register_region(dsmmod.make_region(
+            region_id, length, dsmmod.ArenaStore(self.client.arena, base),
+            dsmmod.Policy.INVALIDATE, initial))
         mapped = MappedRegion(self.session, self, region_id, base, length)
         self.regions.append(mapped)
         return mapped

@@ -15,11 +15,6 @@ The node core is scheduler-free: ``access``/``handle`` make synchronous
 state transitions and emit outgoing messages through a callback, which
 lets the same code run under the event kernel, under a real socket, or
 inside the exhaustive model checker in the test suite.
-
-Server-side tracking additionally models the kernel's large-page
-bookkeeping: regions that originate from memory maps start as 1 MB
-sections, split into 4 KB tracking in 2 MB units when the client maps a
-subrange, and are stitched back on unmap.
 """
 
 from __future__ import annotations
@@ -31,8 +26,6 @@ from typing import Callable, Iterable, Optional
 from .memory import PAGE_SIZE, ByteArena
 from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch, ProtocolError
 
-SECTION_PAGES = 256      # 1 MB
-SPLIT_UNIT_PAGES = 512   # 2 MB: one split covers two adjacent sections
 GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
 # Pages in one fetch run.  A link direction is FIFO, so a reply holds back
 # the heartbeat acks behind it: 64 KB takes 0.42 s at wan's 1.2 Mbps, well
@@ -54,11 +47,6 @@ INVALID, READ_ONLY, READ_WRITE = PageState.INVALID, PageState.READ_ONLY, PageSta
 class Policy(IntEnum):
     INVALIDATE = 0
     UPDATE_PUSH = 1
-
-
-class Origin(IntEnum):
-    MAP_PAGE = 0
-    GLOBAL_BUFFER = 1
 
 
 class DsmError(Exception):
@@ -93,9 +81,10 @@ class ViewStore(PageStore):
     pages): the pages a device mapped, or a buffer of whole pages.
 
     ``read_page`` returns the page's view, not a copy; a buffer cannot be
-    resized while its views exist.  What the node sends is still a
-    snapshot: ``send`` encodes the frame, copying each page into it, before
-    it returns, so a later fill of the buffer does not reach a sent frame.
+    resized while its views exist.  What the node sends is still a copy
+    taken at send time: ``send`` encodes the frame, copying each page into
+    it, before it returns, so a later fill of the buffer does not reach a
+    sent frame.
     """
 
     def __init__(self, sources: Iterable[tuple[bytearray, int]]) -> None:
@@ -127,46 +116,26 @@ class ArenaStore(PageStore):
 
 
 # ---------------------------------------------------------------------------
-# Section tracking (server-side large-page model)
+# Page permission tracking
 # ---------------------------------------------------------------------------
 
 
-class SectionTracker:
-    """Granularity bookkeeping for one region.
+class PageTracker:
+    """The permission state of each page of one region."""
 
-    Tracking is organized in 2 MB units.  A full unit is either two 1 MB
-    sections (one state each) or 512 individually tracked pages; a
-    partial tail unit is always page-tracked.
-
-    ``states`` holds one state per page and ``paged`` one flag per unit.
-    Every page of a sectioned unit holds its section's state, so a lookup
-    is one index at either granularity.
-    """
-
-    def __init__(self, npages: int, sectioned: bool, initial: PageState) -> None:
+    def __init__(self, npages: int, initial: PageState) -> None:
         self.npages = npages
-        self.map_count = [0] * npages
         self.states: list[PageState] = [initial] * npages
-        full_units, tail = divmod(npages, SPLIT_UNIT_PAGES)
-        self.paged = [not sectioned] * full_units + [True] * (tail > 0)
-
-    # -- unit helpers ----------------------------------------------------
 
     def _outside(self, page: int) -> DsmError:
         return DsmError(f"page {page} outside region of {self.npages} pages")
 
-    def _unit_range(self, first_page: int, npages: int) -> range:
-        """The units a non-empty page range touches; both ends must exist."""
-        last = first_page + npages - 1
-        for page in (first_page, last):
+    def check_run(self, first_page: int, npages: int) -> None:
+        """Raise ``DsmError`` unless both ends of the run lie in the region
+        (a list would take a negative index silently)."""
+        for page in (first_page, first_page + npages - 1):
             if not 0 <= page < self.npages:
                 raise self._outside(page)
-        return range(first_page // SPLIT_UNIT_PAGES, last // SPLIT_UNIT_PAGES + 1)
-
-    def is_paged(self, page: int) -> bool:
-        if not 0 <= page < self.npages:
-            raise self._outside(page)
-        return self.paged[page // SPLIT_UNIT_PAGES]
 
     def get(self, page: int) -> PageState:
         if not 0 <= page < self.npages:
@@ -176,64 +145,15 @@ class SectionTracker:
     def set(self, page: int, state: PageState) -> None:
         if not 0 <= page < self.npages:
             raise self._outside(page)
-        if not self.paged[page // SPLIT_UNIT_PAGES]:
-            raise DsmError(f"page {page} still tracked at section granularity")
         self.states[page] = state
 
     def set_range(self, first_page: int, npages: int, state: PageState) -> None:
-        """Set ``npages`` pages from ``first_page`` in one slice.
-
-        Every unit the range touches must be page-tracked; otherwise
-        nothing changes and ``DsmError`` is raised.
-        """
+        """Set ``npages`` pages from ``first_page`` in one slice; a run
+        outside the region changes nothing and raises ``DsmError``."""
         if npages <= 0:
             return
-        for u in self._unit_range(first_page, npages):
-            if not self.paged[u]:
-                page = max(first_page, u * SPLIT_UNIT_PAGES)
-                raise DsmError(f"page {page} still tracked at section granularity")
+        self.check_run(first_page, npages)
         self.states[first_page : first_page + npages] = [state] * npages
-
-    # -- split / coalesce -------------------------------------------------
-
-    def split(self, first_page: int, npages: int) -> None:
-        """Convert every 2 MB unit overlapping the range to page tracking."""
-        if npages <= 0:
-            return
-        for u in self._unit_range(first_page, npages):
-            self.paged[u] = True  # its pages already hold their section's state
-
-    def coalesce(self, first_page: int, npages: int) -> None:
-        """Stitch fully-unmapped 2 MB units in the range back into sections.
-
-        A unit with any page still mapped is refused; partial tail units
-        (never sectioned) are left as pages.
-        """
-        if npages <= 0:
-            return
-        full_units = self.npages // SPLIT_UNIT_PAGES
-        for u in self._unit_range(first_page, npages):
-            if not self.paged[u] or u >= full_units:
-                continue
-            base = u * SPLIT_UNIT_PAGES
-            if any(self.map_count[base : base + SPLIT_UNIT_PAGES]):
-                raise DsmError(f"unit {u} still has mapped pages")
-            for lo in (base, base + SECTION_PAGES):
-                # Each section takes its most restrictive page state.
-                fold = PageState(min(self.states[lo : lo + SECTION_PAGES]))
-                self.states[lo : lo + SECTION_PAGES] = [fold] * SECTION_PAGES
-            self.paged[u] = False
-
-    def snapshot(self):
-        units = []
-        for u, paged in enumerate(self.paged):
-            base = u * SPLIT_UNIT_PAGES
-            if paged:
-                units.append(("pages", tuple(self.states[base : base + SPLIT_UNIT_PAGES])))
-            else:
-                units.append(("sections",
-                              (self.states[base], self.states[base + SECTION_PAGES])))
-        return tuple(units)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +164,16 @@ class SectionTracker:
 @dataclass
 class Region:
     region_id: int
-    base: int                # client address of the first shadow page
-    length: int
     npages: int
-    origin: Origin
     policy: Policy
     store: PageStore
-    tracker: SectionTracker  # permission states (per page once split)
+    tracker: PageTracker
+
+
+def make_region(region_id: int, length: int, store: PageStore, policy: Policy,
+                initial: PageState) -> Region:
+    npages = pages_for(length)
+    return Region(region_id, npages, policy, store, PageTracker(npages, initial))
 
 
 @dataclass
@@ -323,21 +246,16 @@ class DsmNode:
         coherence traffic was started (or is already in flight) and
         ``waiter`` will be called once the page state changes; the caller
         must then retry.  A read that goes on for ``npages`` pages fetches
-        the invalid, page-tracked pages after ``page`` with it, up to the
-        first page that is held or already in flight and to
-        ``FETCH_RUN_PAGES`` in all.
+        the invalid pages after ``page`` with it, up to the first page that
+        is held or already in flight and to ``FETCH_RUN_PAGES`` in all.
         """
-        region = self.region(region_id)
-        tracker = region.tracker
-        if not tracker.is_paged(page):
-            raise DsmError(f"page {page} of region {region_id} not split for access")
-        key = (region_id, page)
-        pending = self._pending.get(key)
+        tracker = self.region(region_id).tracker
+        state = tracker.get(page)  # DsmError outside the region
+        pending = self._pending.get((region_id, page))
         if pending is not None:
             if waiter is not None:
                 pending.waiters.append(waiter)
             return False
-        state = tracker.states[page]
         if state == READ_WRITE or (state == READ_ONLY and not write):
             return True
         if state == READ_ONLY:
@@ -350,10 +268,9 @@ class DsmNode:
         want_own = write and self.coalesce_fetch_own
         end = page + 1
         if not write:
-            states, paged, pending_keys = tracker.states, tracker.paged, self._pending
+            states, pending_keys = tracker.states, self._pending
             stop = min(page + min(npages, FETCH_RUN_PAGES), tracker.npages)
-            while (end < stop and states[end] == INVALID and paged[end // SPLIT_UNIT_PAGES]
-                   and (region_id, end) not in pending_keys):
+            while end < stop and states[end] == INVALID and (region_id, end) not in pending_keys:
                 end += 1
         pending = _Pending(write, want_own, page, end - page)
         if waiter is not None:
@@ -367,22 +284,17 @@ class DsmNode:
     def ready(self, region_id: int, page: int, write: bool) -> bool:
         """True when ``access`` would return True with no state change:
         the page is held read-write, or read-only for a read."""
-        tracker = self.region(region_id).tracker
-        if (region_id, page) in self._pending or not tracker.is_paged(page):
+        state = self.region(region_id).tracker.get(page)  # DsmError outside the region
+        if (region_id, page) in self._pending:
             return False
-        state = tracker.states[page]
         return state == READ_WRITE or (state == READ_ONLY and not write)
 
     def readable_run(self, region_id: int, first: int, n: int) -> int:
         """How many of the ``n`` pages from ``first`` a read may use now,
         counted until the first page for which ``ready`` is False."""
         tracker = self.region(region_id).tracker
+        tracker.check_run(first, n)  # DsmError outside the region
         end = first + n
-        paged = tracker.paged
-        for u in tracker._unit_range(first, n):  # DsmError outside the region
-            if not paged[u]:
-                end = max(first, u * SPLIT_UNIT_PAGES)
-                break
         try:
             end = tracker.states.index(INVALID, first, end)
         except ValueError:
@@ -477,7 +389,7 @@ class DsmNode:
         count = (offset + length - 1) // PAGE_SIZE + 1 - first
         invalidate = region.policy == Policy.INVALIDATE
         state = READ_WRITE if invalidate else READ_ONLY
-        region.tracker.set_range(first, count, state)  # DsmError if section-tracked
+        region.tracker.set_range(first, count, state)  # DsmError outside the region
         if invalidate:
             self.stats["invalidates_sent"] += 1
             self.send(PageInvalidate(region_id, first, count))
@@ -493,24 +405,3 @@ class DsmNode:
     def quiescent(self) -> bool:
         return not self._pending
 
-
-# ---------------------------------------------------------------------------
-# Region construction helpers
-# ---------------------------------------------------------------------------
-
-
-def make_server_region(region_id: int, base: int, length: int, store: PageStore,
-                       origin: Origin, policy: Policy,
-                       initial: PageState = PageState.READ_WRITE) -> Region:
-    npages = pages_for(length)
-    sectioned = origin == Origin.MAP_PAGE
-    tracker = SectionTracker(npages, sectioned=sectioned, initial=initial)
-    return Region(region_id, base, length, npages, origin, policy, store, tracker)
-
-
-def make_client_region(region_id: int, base: int, length: int, store: PageStore,
-                       origin: Origin, policy: Policy,
-                       initial: PageState = PageState.INVALID) -> Region:
-    npages = pages_for(length)
-    tracker = SectionTracker(npages, sectioned=False, initial=initial)
-    return Region(region_id, base, length, npages, origin, policy, store, tracker)

@@ -91,18 +91,32 @@ class Server:
         # Keyed by (endpoint, session id): clients number their sessions
         # independently, so the id alone is unique only per endpoint.
         self.sessions: dict[tuple[Endpoint, int], ServerSession] = {}
+        # Keys of sessions torn down, which stay down even on a fresh channel.
+        self.torn_down: deque[tuple[Endpoint, int]] = deque(maxlen=OP_LOG_MAX)
         self.stats = ServerStats()
 
     def attach(self, endpoint: Endpoint) -> None:
+        """Serve the sessions on ``endpoint``; once it closes they are torn
+        down at once, before any ``on_close`` set earlier runs."""
         endpoint.on_message = lambda msg, ep=endpoint: self._route(ep, msg)
+        then = endpoint.on_close
+
+        def on_close() -> None:
+            for (ep, _), session in list(self.sessions.items()):
+                if ep is endpoint:
+                    session.cleanup(CAUSE_LINK_DOWN)
+            if then is not None:
+                then()
+
+        endpoint.on_close = on_close
 
     def _route(self, endpoint: Endpoint, msg: Message) -> None:
         key = (endpoint, msg.session_id)
         session = self.sessions.get(key)
         if session is None:
-            if msg.seq:
-                # A session's first frame has seq 0; a later one belongs to a
-                # session this server tore down, which stays down.
+            # A session's first frame on each channel has seq 0; a later
+            # frame, or any frame of a session torn down, opens nothing.
+            if msg.seq or key in self.torn_down:
                 log.debug("session %d: frame after teardown dropped", msg.session_id)
                 return
             session = self.sessions[key] = ServerSession(self, msg.session_id, endpoint)
@@ -277,20 +291,14 @@ class ServerSession(Peer):
         if len(mem.mapped) != npages:
             return -EINVAL
         by_addr = sorted(mem.mapped, key=lambda m: m[2])
-        base = req.addr
         for i, (_, _, target_off) in enumerate(by_addr):
             if target_off != i * PAGE_SIZE:
                 return -EINVAL
         store = dsmmod.ViewStore((buf, off) for buf, off, _ in by_addr)
         region_id = self._region_id
         self._region_id += 1
-        region = dsmmod.make_server_region(region_id, base, req.length, store,
-                                           dsmmod.Origin.MAP_PAGE, self.config.dma_policy)
-        # The client maps the whole range: split the kernel-side sections
-        # down to page tracking and account the mappings.
-        region.tracker.split(0, npages)
-        for i in range(npages):
-            region.tracker.map_count[i] += 1
+        region = dsmmod.make_region(region_id, req.length, store, self.config.dma_policy,
+                                    dsmmod.PageState.READ_WRITE)
         self.dsm.register_region(region)
         ref = RegionRef(region_id, req.length, None, self)
         self.regions[region_id] = _RegionRec(region_id, entry.desc.desc_id, ref)
@@ -309,13 +317,6 @@ class ServerSession(Peer):
         entry = self.descs.get(rec.desc_id)
         if entry is not None:
             await entry.device.close_map(entry.desc, rec.ref)
-        region = self.dsm.regions.get(rec.region_id)
-        if region is not None:
-            for i in range(region.npages):
-                region.tracker.map_count[i] = 0
-            if region.origin == dsmmod.Origin.MAP_PAGE:
-                # Unmapped: stitch split units back into sections.
-                region.tracker.coalesce(0, region.npages)
         self.dsm.drop_region(rec.region_id)
         self.regions.pop(rec.region_id, None)
 
@@ -351,18 +352,16 @@ class ServerSession(Peer):
 
     # -- global buffers ----------------------------------------------------------
 
-    def create_global_buffer(self, size: int, buffer_id: int, client_base: int,
-                             desc_id: int) -> RegionRef:
+    def create_global_buffer(self, size: int, buffer_id: int, desc_id: int) -> RegionRef:
         if size <= 0:
             raise dsmmod.DsmError("global buffer size must be positive")
         region_id = dsmmod.GBUF_REGION_BASE | buffer_id
         if region_id in self.dsm.regions:
             raise dsmmod.DsmError(f"global buffer {buffer_id} already exists")
         buf = bytearray(dsmmod.pages_for(size) * PAGE_SIZE)
-        region = dsmmod.make_server_region(
-            region_id, client_base, size, dsmmod.ViewStore.of_buffer(buf),
-            dsmmod.Origin.GLOBAL_BUFFER, self.config.dma_policy,
-            initial=dsmmod.PageState.INVALID)  # the client allocated it
+        region = dsmmod.make_region(region_id, size, dsmmod.ViewStore.of_buffer(buf),
+                                    self.config.dma_policy,
+                                    dsmmod.PageState.INVALID)  # the client allocated it
         self.dsm.register_region(region)
         ref = RegionRef(region_id, size, buf, self)
         self.regions[region_id] = _RegionRec(region_id, desc_id, ref)
@@ -391,6 +390,7 @@ class ServerSession(Peer):
             return
         self.live = False
         self.server.stats.cleanups.append((self.session_id, cause))
+        self.server.torn_down.append((self.endpoint, self.session_id))
         for task in list(self.workers):
             task.cancel()
         self._watchdog.cancel()
@@ -513,5 +513,5 @@ class ServerMemoryContext(MemoryContext):
         self.mapped.append((buf, buf_offset, target_offset))
 
     def alloc_global_buffer(self, size: int, buffer_id: int, client_base: int) -> RegionRef:
-        return self.session.create_global_buffer(size, buffer_id, client_base,
-                                                 self.desc_id)
+        # ``client_base`` names the client's shadow pages, which the server does not track.
+        return self.session.create_global_buffer(size, buffer_id, self.desc_id)

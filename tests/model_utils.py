@@ -22,14 +22,12 @@ from typing import Optional
 
 from rio.dsm import (
     DsmNode,
-    Origin,
     PageState,
     PageStore,
     Policy,
     ProtocolFault,
     _Pending,
-    make_client_region,
-    make_server_region,
+    make_region,
 )
 from rio.kernel import Future, SimKernel
 from rio.memory import PAGE_SIZE
@@ -98,12 +96,10 @@ class ModelWorld:
                               coalesce_fetch_own=not naive),
         }
         length = self.NPAGES * PAGE_SIZE
-        self.nodes["client"].register_region(make_client_region(
-            1, 0, length, self.stores["client"], Origin.GLOBAL_BUFFER, policy,
-            initial=INV))
-        self.nodes["server"].register_region(make_server_region(
-            1, 0, length, self.stores["server"], Origin.GLOBAL_BUFFER, policy,
-            initial=RW))
+        self.nodes["client"].register_region(make_region(
+            1, length, self.stores["client"], policy, INV))
+        self.nodes["server"].register_region(make_region(
+            1, length, self.stores["server"], policy, RW))
 
     # -- state key ---------------------------------------------------------
 
@@ -359,11 +355,8 @@ class _WireNode:
         self.node = DsmNode(side, self._send)
         self.store = TagPageStore(npages)
         length = npages * PAGE_SIZE
-        make = make_client_region if side == "client" else make_server_region
         initial = INV if side == "client" else RW
-        self.node.register_region(make(1, 0, length, self.store,
-                                       Origin.GLOBAL_BUFFER, policy,
-                                       initial=initial))
+        self.node.register_region(make_region(1, length, self.store, policy, initial))
         endpoint.on_message = self._recv
 
     def _send(self, body) -> None:

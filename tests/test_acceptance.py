@@ -15,7 +15,7 @@ from rio.bench import (
     bench_sensor,
 )
 from rio.devices import AUDIO_HEADER, AUDIO_XFER_OUT
-from rio.dsm import PageState, Policy, SECTION_PAGES, SectionTracker, SPLIT_UNIT_PAGES
+from rio.dsm import Policy
 from rio.testbed import SimWorld
 from rio.wire import LinkConfig
 
@@ -132,30 +132,6 @@ def test_criterion_08_dsm_single_writer_and_serial_oracle():
     report(8, f"exhaustive: {pairs} program pairs / {states} states, "
               f"0 double-writers; {trace_count} coordinated traces matched "
               f"the serial oracle ({elapsed:.1f}s)")
-
-
-def test_criterion_09_split_coalesce_round_trip():
-    rng = random.Random(909)
-    checked = 0
-    for _ in range(400):
-        units = rng.randint(1, 5)
-        tail = rng.randrange(0, SPLIT_UNIT_PAGES)
-        npages = units * SPLIT_UNIT_PAGES + tail
-        tracker = SectionTracker(npages, sectioned=True, initial=PageState.READ_WRITE)
-        for unit in range(units):
-            for half in range(2):
-                lo = unit * SPLIT_UNIT_PAGES + half * SECTION_PAGES
-                tracker.states[lo : lo + SECTION_PAGES] = [
-                    rng.choice([PageState.READ_WRITE, PageState.READ_ONLY,
-                                PageState.INVALID])] * SECTION_PAGES
-        before = tracker.snapshot()
-        lo = rng.randrange(npages)
-        hi = rng.randrange(lo, npages)
-        tracker.split(lo, hi - lo + 1)
-        tracker.coalesce(0, npages)
-        assert tracker.snapshot() == before, f"layout {units}+{tail} range {lo}:{hi}"
-        checked += 1
-    report(9, f"split/coalesce restored tracking exactly on {checked} random layouts")
 
 
 def test_criterion_10_disconnect_hygiene():

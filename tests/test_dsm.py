@@ -1,24 +1,19 @@
-"""Coherence engine unit tests: access rules, DMA policies, sections."""
+"""Coherence engine unit tests: access rules, DMA policies, page bounds."""
 
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from rio import dsm as dsmmod
 from rio.dsm import (
     DsmError,
     DsmNode,
-    Origin,
     PageState,
+    PageTracker,
     Policy,
     ProtocolFault,
-    SECTION_PAGES,
-    SectionTracker,
-    SPLIT_UNIT_PAGES,
     ViewStore,
-    make_client_region,
-    make_server_region,
+    make_region,
     pages_for,
 )
 from rio.memory import PAGE_SIZE
@@ -40,12 +35,10 @@ class Pair:
         self.client_buf = bytearray(npages * PAGE_SIZE)
         self.server_buf = bytearray(npages * PAGE_SIZE)
         length = npages * PAGE_SIZE
-        self.client.register_region(make_client_region(
-            1, 0, length, ViewStore.of_buffer(self.client_buf), Origin.MAP_PAGE, policy,
-            initial=client_init))
-        self.server.register_region(make_server_region(
-            1, 0, length, ViewStore.of_buffer(self.server_buf), Origin.GLOBAL_BUFFER,
-            policy, initial=server_init))
+        self.client.register_region(make_region(
+            1, length, ViewStore.of_buffer(self.client_buf), policy, client_init))
+        self.server.register_region(make_region(
+            1, length, ViewStore.of_buffer(self.server_buf), policy, server_init))
 
     def node(self, side):
         return self.client if side == "client" else self.server
@@ -276,29 +269,16 @@ def test_dma_empty_region_sends_nothing():
 
 
 # ---------------------------------------------------------------------------
-# Section split / coalesce
+# Page bounds
 # ---------------------------------------------------------------------------
 
 
-def test_split_makes_512_tracked_pages_inheriting_state():
-    tracker = SectionTracker(SPLIT_UNIT_PAGES * 2, sectioned=True, initial=RO)
-    assert not tracker.is_paged(0)
-    tracker.split(3, 1)  # one page inside the first 1 MB section
-    assert tracker.is_paged(0) and tracker.is_paged(SPLIT_UNIT_PAGES - 1)
-    assert not tracker.is_paged(SPLIT_UNIT_PAGES)  # second unit untouched
-    snapshot = tracker.snapshot()
-    assert snapshot[0][0] == "pages"
-    assert len(snapshot[0][1]) == SPLIT_UNIT_PAGES
-    assert all(s == RO for s in snapshot[0][1])
-
-
 def test_tracker_rejects_pages_outside_the_region_at_either_end():
-    npages = SPLIT_UNIT_PAGES + 3
-    tracker = SectionTracker(npages, sectioned=False, initial=RW)
-    for page in (-1, -npages, npages, npages + SPLIT_UNIT_PAGES):
-        for call in (lambda: tracker.get(page), lambda: tracker.is_paged(page),
-                     lambda: tracker.set(page, RO), lambda: tracker.set_range(page, 1, RO),
-                     lambda: tracker.split(page, 1), lambda: tracker.coalesce(page, 1)):
+    npages = 512 + 3
+    tracker = PageTracker(npages, RW)
+    for page in (-1, -npages, npages, npages + 512):
+        for call in (lambda: tracker.get(page), lambda: tracker.set(page, RO),
+                     lambda: tracker.set_range(page, 1, RO)):
             with pytest.raises(DsmError):
                 call()
     with pytest.raises(DsmError):
@@ -306,60 +286,29 @@ def test_tracker_rejects_pages_outside_the_region_at_either_end():
     assert tracker.states == [RW] * npages
 
 
-def test_split_is_idempotent():
-    tracker = SectionTracker(SPLIT_UNIT_PAGES, sectioned=True, initial=RW)
-    tracker.split(0, 4)
-    snap = tracker.snapshot()
-    tracker.split(0, 4)
-    assert tracker.snapshot() == snap
+# (entry point, page, extra arguments): one page before the region, one
+# past its end, and a run that starts inside and ends past it.
+OUTSIDE_CALLS = [
+    (entry, page, extra)
+    for entry, extra in (("access", (False,)), ("access", (True,)), ("ready", (False,)),
+                         ("readable_run", (1,)))
+    for page in (-1, 4)
+] + [("readable_run", 3, (2,)), ("readable_run", 0, (5,))]
 
 
-def test_coalesce_refused_while_pages_mapped():
-    tracker = SectionTracker(SPLIT_UNIT_PAGES, sectioned=True, initial=RW)
-    tracker.split(0, SPLIT_UNIT_PAGES)
-    tracker.map_count[5] = 1
+@pytest.mark.parametrize("entry,page,extra", OUTSIDE_CALLS,
+                         ids=[f"{e}-{p}-{x}" for e, p, x in OUTSIDE_CALLS])
+def test_entry_points_reject_pages_outside_the_region(entry, page, extra):
+    pair = Pair(npages=4)
+    assert not pair.client.access(1, 1, False, npages=2)  # a run in flight
+    (fetch,) = pair.to_server
+    pending = dict(pair.client._pending)
+    states = list(pair.client.region(1).tracker.states)
     with pytest.raises(DsmError):
-        tracker.coalesce(0, SPLIT_UNIT_PAGES)
-    tracker.map_count[5] = 0
-    tracker.coalesce(0, SPLIT_UNIT_PAGES)
-    assert not tracker.is_paged(0)
-
-
-def test_coalesce_folds_to_most_restrictive_state():
-    tracker = SectionTracker(SPLIT_UNIT_PAGES, sectioned=True, initial=RW)
-    tracker.split(0, SPLIT_UNIT_PAGES)
-    for i in range(SECTION_PAGES):
-        tracker.set(i, RO)
-    tracker.set(SECTION_PAGES + 9, INV)
-    tracker.coalesce(0, SPLIT_UNIT_PAGES)
-    snap = tracker.snapshot()
-    assert snap[0] == ("sections", (RO, INV))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    units=st.integers(1, 4),
-    tail_pages=st.integers(0, SPLIT_UNIT_PAGES - 1),
-    states=st.lists(st.sampled_from([RW, RO, INV]), min_size=8, max_size=8),
-    lo_frac=st.floats(0, 1),
-    hi_frac=st.floats(0, 1),
-)
-def test_split_then_coalesce_restores_tracking(units, tail_pages, states,
-                                               lo_frac, hi_frac):
-    npages = units * SPLIT_UNIT_PAGES + tail_pages
-    tracker = SectionTracker(npages, sectioned=True, initial=RW)
-    # Randomize per-section states before any split.
-    for u in range(units):
-        for half in range(2):
-            lo = u * SPLIT_UNIT_PAGES + half * SECTION_PAGES
-            tracker.states[lo : lo + SECTION_PAGES] = [states[(2 * u + half) % 8]] * SECTION_PAGES
-    before = tracker.snapshot()
-    lo = int(lo_frac * (npages - 1))
-    hi = int(hi_frac * (npages - 1))
-    lo, hi = min(lo, hi), max(lo, hi)
-    tracker.split(lo, hi - lo + 1)
-    tracker.coalesce(0, npages)  # nothing mapped, no state change in between
-    assert tracker.snapshot() == before
+        getattr(pair.client, entry)(1, page, *extra)
+    assert pair.client.region(1).tracker.states == states
+    assert pair.client._pending == pending
+    assert list(pair.to_server) == [fetch]
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +318,8 @@ def test_split_then_coalesce_restores_tracking(units, tail_pages, states,
 
 def test_duplicate_region_id_rejected():
     node = DsmNode(DsmNode.CLIENT, lambda m: None)
-    region = make_client_region(5, 0, PAGE_SIZE, ViewStore.of_buffer(bytearray(PAGE_SIZE)),
-                                Origin.GLOBAL_BUFFER, Policy.INVALIDATE)
+    region = make_region(5, PAGE_SIZE, ViewStore.of_buffer(bytearray(PAGE_SIZE)),
+                         Policy.INVALIDATE, INV)
     node.register_region(region)
     with pytest.raises(DsmError):
         node.register_region(region)
@@ -428,10 +377,7 @@ def _scattered_node(side, policy, npages, sent):
     if side == DsmNode.SERVER:
         for page in range(npages):
             buf[page * PAGE_SIZE : page * PAGE_SIZE + 4] = page.to_bytes(4, "little")
-        region = make_server_region(1, 0, len(buf), ViewStore.of_buffer(buf), Origin.MAP_PAGE, policy)
-        region.tracker.split(0, npages)
-    else:
-        region = make_client_region(1, 0, len(buf), ViewStore.of_buffer(buf), Origin.MAP_PAGE, policy)
+    region = make_region(1, len(buf), ViewStore.of_buffer(buf), policy, INV)
     for page in range(npages):
         region.tracker.set(page, (RW, RO, INV)[page * 7 % 3])
     node.register_region(region)
@@ -440,16 +386,16 @@ def _scattered_node(side, policy, npages, sent):
 
 def _node_state(node):
     region = node.region(1)
-    return (region.tracker.snapshot(), node.stats)
+    return (list(region.tracker.states), node.stats)
 
 
 DMA_RANGES = [
     (0, 1920 * 1080 * 2),                                # the whole 1080p frame
     (300 * PAGE_SIZE + 100, 400 * PAGE_SIZE),            # mid-unit across the 2 MB boundary
-    (SPLIT_UNIT_PAGES * PAGE_SIZE - 1, 2),               # one byte each side of it
+    (512 * PAGE_SIZE - 1, 2),                            # one byte each side of it
     (900 * PAGE_SIZE + 5, 113 * PAGE_SIZE - 5 - 17),     # into the partial tail unit
     (7, 1),                                              # one byte
-    (SPLIT_UNIT_PAGES * PAGE_SIZE, 3 * PAGE_SIZE),       # starts at a unit boundary
+    (512 * PAGE_SIZE, 3 * PAGE_SIZE),                    # starts at a unit boundary
 ]
 
 
@@ -477,31 +423,11 @@ def test_dma_range_transitions_equal_per_page_path(policy):
         assert client_buf == ref_client_buf
 
 
-@pytest.mark.parametrize("policy", [Policy.INVALIDATE, Policy.UPDATE_PUSH])
-@pytest.mark.parametrize("first_page,npages", [
-    (SPLIT_UNIT_PAGES - 4, 8),        # paged unit into a sectioned one
-    (SPLIT_UNIT_PAGES + 10, 1),       # inside a sectioned unit
-])
-def test_dma_into_section_tracked_range_raises(policy, first_page, npages):
-    total = 2 * SPLIT_UNIT_PAGES + 10
-    sent = []
-    node = DsmNode(DsmNode.SERVER, sent.append)
-    region = make_server_region(1, 0, total * PAGE_SIZE,
-                                ViewStore.of_buffer(bytearray(total * PAGE_SIZE)),
-                                Origin.MAP_PAGE, policy)
-    region.tracker.split(0, 1)  # only the first 2 MB unit is page-tracked
-    node.register_region(region)
-    before = _node_state(node)
-    with pytest.raises(DsmError):
-        node.dma_complete(1, first_page * PAGE_SIZE, npages * PAGE_SIZE)
-    assert _node_state(node) == before and not sent  # nothing half-applied
-
-
 def test_set_range_rejects_pages_outside_region():
-    tracker = SectionTracker(10, sectioned=False, initial=RW)
+    tracker = PageTracker(10, RW)
     with pytest.raises(DsmError):
         tracker.set_range(8, 3, RO)
-    assert tracker.snapshot() == (("pages", (RW,) * 10),)
+    assert tracker.states == [RW] * 10
 
 
 def test_pushed_batch_installs_pages_a_crossed_local_claim_took():

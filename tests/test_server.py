@@ -591,6 +591,28 @@ def test_a_session_the_server_tore_down_stays_down():
     assert [sid for _, sid in world.server.sessions] == [world.session.session_id]
 
 
+def test_a_session_torn_down_by_its_first_frame_stays_down_on_a_fresh_channel():
+    world = SimWorld(link="lan")
+    link = SimulatedLink(world.kernel, link_preset("lan"), rng=world.rng)
+    world.server.attach(link.b)
+    hostile = world.client.connect(link.a)
+
+    async def main():
+        hostile._send(PageFetch(77, 0))
+        # The open is the first frame on its channel, after the teardown;
+        # unanswered, the client declares the link down.
+        with pytest.raises(RioError):
+            await hostile.open("echodev")
+
+    world.run(main())
+    assert not hostile.live
+    assert list(world.server.stats.cleanups) == [(hostile.session_id, "LinkDown")]
+    assert [sid for _, sid in world.server.sessions] == [world.session.session_id]
+    # Nothing of the hostile session is left; the world's own session holds nothing.
+    census = world.census()
+    assert census == {**dict.fromkeys(census, 0), "sessions": 1}
+
+
 @pytest.mark.parametrize("make_body", _FOREIGN_COHERENCE.values(), ids=_FOREIGN_COHERENCE)
 def test_a_foreign_coherence_frame_is_a_protocol_error_at_the_client(make_body, caplog):
     world = SimWorld(link="lan")

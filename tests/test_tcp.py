@@ -279,3 +279,37 @@ def test_cli_client_prints_the_rows_it_measured_before_the_server_closed():
     assert err.getvalue().startswith("error:")
     assert "Traceback" not in out.getvalue() + err.getvalue()
     assert stopped.wait(5.0)
+
+
+def test_a_closed_connection_tears_its_sessions_down_at_once():
+    kernel = RealKernel()
+    server = Server(kernel, default_devices(kernel), ServerConfig())
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    kernel.add_reader(listener,
+                      lambda: server.attach(TcpEndpoint(kernel, listener.accept()[0])))
+    client = Client(kernel, ClientConfig())
+    endpoint = TcpEndpoint(kernel, socket.create_connection(listener.getsockname(),
+                                                             timeout=5.0))
+    session = client.connect(endpoint)
+
+    async def drive():
+        await session.open("echodev")
+        assert len(server.sessions) == 1
+        closed_at = time.monotonic()
+        endpoint.close()
+        # Well inside the 1.5 s heartbeat horizon, which would also end it.
+        while server.sessions and time.monotonic() - closed_at < 1.0:
+            await kernel.sleep(5)
+        return time.monotonic() - closed_at
+
+    try:
+        elapsed = kernel.run(drive())
+    finally:
+        kernel.remove_reader(listener)
+        listener.close()
+    assert not server.sessions
+    assert elapsed < 0.2
+    assert list(server.stats.cleanups) == [(session.session_id, "LinkDown")]
+    assert all(v == 0 for v in server.census().values())
