@@ -327,16 +327,17 @@ class MappedRegion:
     """Client-side shadow of a server buffer; access goes through coherence."""
 
     def __init__(self, session: ClientSession, handle: "VirtualHandle",
-                 region_id: int, base: int, length: int) -> None:
+                 region_id: int, base: int, length: int, buf: bytearray) -> None:
         self.session = session
         self.handle = handle
         self.region_id = region_id
         self.base = base
         self.length = length
         self.npages = dsmmod.pages_for(length)
+        self.view = memoryview(buf)  # the region's bytes, also mapped in the arena
 
     def _check_range(self, addr: int, length: int) -> None:
-        if addr < self.base or addr + length > self.base + self.npages * PAGE_SIZE:
+        if addr < self.base or addr + length > self.base + len(self.view):
             raise dsmmod.DsmError("access outside mapped region")
 
     def _page_slices(self, addr: int, length: int):
@@ -352,11 +353,11 @@ class MappedRegion:
 
     async def page_read(self, addr: int, length: int) -> bytes:
         # Every page passes its own permission check.  Each run of pages
-        # readable now is one arena read; the first page that is not fetches
-        # the invalid run it starts, which is then read with the pages after it.
+        # readable now is one slice of the region's buffer, and the result one
+        # copy of them all; the first page that is not readable fetches the
+        # invalid run it starts, which is then read with the pages after it.
         self._check_range(addr, length)
-        session, base, region_id = self.session, self.base, self.region_id
-        read = session.client.arena.read
+        session, base, region_id, view = self.session, self.base, self.region_id, self.view
         parts = []
         pos, end = addr, addr + length
         last = (end - 1 - base) // PAGE_SIZE
@@ -367,9 +368,9 @@ class MappedRegion:
                 await session._acquire_page(region_id, page, False, last - page + 1)
                 continue  # the page is readable now: take the run it starts
             stop = min(end, base + (page + n) * PAGE_SIZE)
-            parts.append(read(pos, stop - pos))
+            parts.append(view[pos - base : stop - base])
             pos = stop
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+        return bytes(parts[0]) if len(parts) == 1 else b"".join(parts)
 
     async def page_write(self, addr: int, data: bytes) -> None:
         data = bytes(data)
@@ -526,16 +527,17 @@ class VirtualHandle:
 
     def _shadow_region(self, region_id: int, base: int, length: int,
                        initial: dsmmod.PageState) -> MappedRegion:
-        """Register the client side of a coherent region at ``base``."""
+        """Register the client side of a coherent region, mapped at ``base``."""
+        buf = self.client.arena.map(base, length)
         self.session.dsm.register_region(dsmmod.make_region(
-            region_id, length, dsmmod.ArenaStore(self.client.arena, base),
-            dsmmod.Policy.INVALIDATE, initial))
-        mapped = MappedRegion(self.session, self, region_id, base, length)
+            region_id, length, dsmmod.ViewStore.of_buffer(buf), dsmmod.Policy.INVALIDATE, initial))
+        mapped = MappedRegion(self.session, self, region_id, base, length, buf)
         self.regions.append(mapped)
         return mapped
 
     def _forget_region(self, mapped: MappedRegion) -> None:
         self.session.dsm.drop_region(mapped.region_id)
+        self.client.arena.unmap(mapped.base, mapped.length)
         if mapped in self.regions:
             self.regions.remove(mapped)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Iterable, Optional
 
-from .memory import PAGE_SIZE, ByteArena
+from .memory import PAGE_SIZE
 from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch, ProtocolError
 
 GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
@@ -77,8 +77,9 @@ class PageStore:
 
 
 class ViewStore(PageStore):
-    """Pages that are writable views of device memory (server-side real
-    pages): the pages a device mapped, or a buffer of whole pages.
+    """Pages that are writable views of a buffer: on the server the pages a
+    device mapped or a buffer of whole pages, on the client the buffer of a
+    shadow region.
 
     ``read_page`` returns the page's view, not a copy; a buffer cannot be
     resized while its views exist.  What the node sends is still a copy
@@ -99,20 +100,6 @@ class ViewStore(PageStore):
 
     def write_page(self, index: int, data: bytes) -> None:
         self.pages[index][:] = data
-
-
-class ArenaStore(PageStore):
-    """Pages backed by a range of a process arena (client shadow pages)."""
-
-    def __init__(self, arena: ByteArena, base: int) -> None:
-        self.arena = arena
-        self.base = base
-
-    def read_page(self, index: int) -> bytes:
-        return self.arena.read(self.base + index * PAGE_SIZE, PAGE_SIZE)
-
-    def write_page(self, index: int, data: bytes) -> None:
-        self.arena.write(self.base + index * PAGE_SIZE, data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Flat byte arenas standing in for process memory.
 
-Client-side process memory is modeled as a sparse flat address space of
-4 KB chunks; every (addr, len) pair in the protocol indexes into it.
+Client-side process memory is one flat address space; every (addr, len)
+pair in the protocol indexes into it.  A mapped region is one contiguous
+buffer; other memory is materialized sparsely, 4 KB at a time.
 """
 
 from __future__ import annotations
@@ -11,39 +12,43 @@ _ZERO_PAGE = memoryview(bytes(PAGE_SIZE))  # unmaterialized chunks read as zeros
 
 
 class ByteArena:
-    """Sparse byte-addressable memory, materialized 4 KB at a time."""
+    """Byte-addressable memory as one chunk per 4 KB page: a page of its
+    own, or a view of a mapped region's buffer."""
 
     def __init__(self) -> None:
-        self._chunks: dict[int, bytearray] = {}
+        self._chunks: dict[int, bytearray | memoryview] = {}
 
-    def _chunk(self, index: int) -> bytearray:
-        chunk = self._chunks.get(index)
-        if chunk is None:
-            chunk = bytearray(PAGE_SIZE)
-            self._chunks[index] = chunk
-        return chunk
+    def map(self, base: int, length: int) -> bytearray:
+        """A zeroed buffer of whole pages, mapped at ``base``: the arena's
+        pages there become views of it, so both see the same bytes."""
+        if base % PAGE_SIZE:
+            raise ValueError("a mapping starts on a page boundary")
+        buf = bytearray(-(-length // PAGE_SIZE) * PAGE_SIZE)
+        view, first = memoryview(buf), base // PAGE_SIZE
+        for off in range(0, len(buf), PAGE_SIZE):
+            self._chunks[first + off // PAGE_SIZE] = view[off : off + PAGE_SIZE]
+        return buf
+
+    def unmap(self, base: int, length: int) -> None:
+        """Drop the pages of ``map(base, length)``; they read as zeros again."""
+        first = base // PAGE_SIZE
+        for index in range(first, first + -(-length // PAGE_SIZE)):
+            self._chunks.pop(index, None)
 
     def read(self, addr: int, length: int) -> bytes:
         if length < 0 or addr < 0:
             raise ValueError("negative address or length")
+        chunks = self._chunks
         idx, off = divmod(addr, PAGE_SIZE)
         if off + length <= PAGE_SIZE:  # within one chunk
-            chunk = self._chunks.get(idx)
-            return bytes(length) if chunk is None else bytes(chunk[off : off + length])
+            return bytes(chunks.get(idx, _ZERO_PAGE)[off : off + length])
         # Several chunks: one join of views, so each byte is copied once.
-        chunks = self._chunks
         parts = []
         pos, end = addr, addr + length
         while pos < end:
             idx, off = divmod(pos, PAGE_SIZE)
             take = min(PAGE_SIZE - off, end - pos)
-            chunk = chunks.get(idx)
-            if chunk is None:
-                parts.append(_ZERO_PAGE[:take])
-            elif take == PAGE_SIZE:
-                parts.append(chunk)
-            else:
-                parts.append(memoryview(chunk)[off : off + take])
+            parts.append(memoryview(chunks.get(idx, _ZERO_PAGE))[off : off + take])
             pos += take
         return b"".join(parts)
 
@@ -52,18 +57,19 @@ class ByteArena:
         # copies any value that is not itself a bytearray.
         if addr < 0:
             raise ValueError("negative address")
-        length = len(data)
+        chunks, length = self._chunks, len(data)
         idx, off = divmod(addr, PAGE_SIZE)
-        if 0 < length and off + length <= PAGE_SIZE:  # within one chunk
-            memoryview(self._chunk(idx))[off : off + length] = data
+        if off + length <= PAGE_SIZE and idx in chunks:  # within one materialized chunk
+            memoryview(chunks[idx])[off : off + length] = data
             return
-        data = memoryview(data)
-        pos = 0
+        data, pos = memoryview(data), 0
         while pos < length:
-            a = addr + pos
-            idx, off = divmod(a, PAGE_SIZE)
+            idx, off = divmod(addr + pos, PAGE_SIZE)
             take = min(PAGE_SIZE - off, length - pos)
-            memoryview(self._chunk(idx))[off : off + take] = data[pos : pos + take]
+            chunk = chunks.get(idx)
+            if chunk is None:
+                chunk = chunks[idx] = bytearray(PAGE_SIZE)
+            memoryview(chunk)[off : off + take] = data[pos : pos + take]
             pos += take
 
 

@@ -25,12 +25,13 @@ payload decodes exactly, every byte accounted for, or raises
 ``ProtocolError``.
 
 Copies: a frame's bytes are copied once into the frame, by the one join
-or concatenation in ``encode_frame``, and once out of it, when
-``decode_frame`` takes the payload.  A run of pushed or fetched pages is
+or concatenation in ``encode_frame``.  A run of pushed or fetched pages is
 sent as a tuple of its parts (the head, then each page's buffer), which
 ``encode_frame`` joins with the header, so a page goes from the device
-buffer into the frame in that one copy.  Page bytes decoded from a
-payload stay views of it until the receiver installs them.
+buffer into the frame in that one copy.  The payload of a ``bytes`` frame
+(``SimulatedLink``) stays a view of it; ``decode_frame`` copies it out of
+any other buffer, since ``Framer`` reuses its own.  Page bytes decoded
+from a payload stay views of it until the receiver installs them.
 
 Sessions: ``Peer`` is the session core of both stubs.  It numbers the
 frames it sends per channel, derives the kind and channel of each body it
@@ -115,7 +116,7 @@ class Message:
     seq: int
     channel: Channel
     kind: Kind
-    payload: bytes = b""  # or, on the send side, a tuple of buffers in order
+    payload: bytes = b""  # or a view of a received frame, or a tuple of buffers to send
 
     def __post_init__(self) -> None:
         if KIND_CHANNEL.get(self.kind) != self.channel:
@@ -149,8 +150,9 @@ def decode_frame(buf: bytes, offset: int = 0) -> tuple[Message, int]:
     pair = _FRAME_PAIRS[kind_b]
     if pair is None or pair[1] != chan_b:
         raise ProtocolError(f"kind byte {kind_b} not valid on channel byte {chan_b}")
-    with memoryview(buf) as view:  # one copy, from bytes or a bytearray alike
-        payload = bytes(view[offset + HEADER_SIZE : offset + total])
+    payload = memoryview(buf)[offset + HEADER_SIZE : offset + total]
+    if buf.__class__ is not bytes:  # its owner may reuse it (``Framer``): copy out
+        payload = bytes(payload)
     return Message(session_id, seq, pair[1], pair[0], payload), total
 
 

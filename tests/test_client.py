@@ -2,6 +2,7 @@
 
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -786,3 +787,78 @@ def test_a_whole_frame_read_keeps_the_session_live(link, width, height):
     assert world.session.live
     world.advance(2000.0)  # past the heartbeat horizon once more
     assert world.session.live
+
+
+# ---------------------------------------------------------------------------
+# Shadow memory: one buffer per mapped region, aliased by the arena
+# ---------------------------------------------------------------------------
+
+VGA_FRAME = 640 * 480 * 2  # 150 whole pages
+
+
+@pytest.mark.parametrize("policy", [Policy.UPDATE_PUSH, Policy.INVALIDATE],
+                         ids=["push", "invalidate"])
+def test_a_read_frame_keeps_its_bytes_when_the_next_frame_fills_its_buffer(policy):
+    world = SimWorld(link="lan", dsm_policy=policy)
+
+    async def main():
+        handle, region = await _setup_frames(world, count=1)()
+        frames = []
+        for _ in range(2):
+            assert await handle.ioctl(FRAME_DQ) == 0  # one buffer: frame 1 overwrites frame 0
+            frames.append(await region.page_read(region.base, VGA_FRAME))
+        return frames
+
+    first, second = world.run(main())
+    assert type(first) is bytes and type(second) is bytes
+    assert first == frame_pattern(0, VGA_FRAME)
+    assert second == frame_pattern(1, VGA_FRAME)
+
+
+def test_the_arena_and_a_mapped_region_see_the_same_bytes():
+    # Copy requests and prefetch read and write process memory through the
+    # arena; coherence installs into, and page_read reads, the region's buffer.
+    world = SimWorld(link="lan", dsm_policy=Policy.INVALIDATE)
+    arena = world.client.arena
+
+    async def main():
+        handle, region = await _setup_frames(world, count=1)()
+        assert await handle.ioctl(FRAME_DQ) == 0
+        read = await region.page_read(region.base, VGA_FRAME)  # fetched and installed
+        installed = arena.read(region.base, VGA_FRAME)
+        arena.write(region.base + PAGE_SIZE - 2, b"wxyz")  # across a page boundary
+        stored = await region.page_read(region.base + PAGE_SIZE - 4, 8)
+        return read, installed, stored
+
+    read, installed, stored = world.run(main())
+    want = frame_pattern(0, VGA_FRAME)
+    assert installed == read == want
+    around = PAGE_SIZE - 4
+    assert stored == want[around : around + 2] + b"wxyz" + want[around + 6 : around + 8]
+
+
+def test_map_and_unmap_cycles_keep_client_memory_bounded():
+    # The allocator never reuses an address, so only unmapping a region can
+    # give its memory back.
+    world = SimWorld(link="lan")
+
+    async def cycle(handle):
+        region = await handle.mmap(VGA_FRAME)
+        assert await handle.ioctl(FRAME_DQ) == 0
+        assert await region.page_read(region.base, VGA_FRAME) != bytes(VGA_FRAME)
+        await region.unmap()
+
+    async def main():
+        handle, region = await _setup_frames(world, count=1)()
+        await region.unmap()
+        await cycle(handle)  # first-use allocations are not growth
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(30):
+                await cycle(handle)
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    assert world.run(main()) < 2 * VGA_FRAME

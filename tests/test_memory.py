@@ -23,6 +23,24 @@ def test_overwrite_in_place():
     assert arena.read(100, 4) == b"xxZZ"
 
 
+def test_a_mapped_buffer_and_the_arena_alias_until_unmapped():
+    arena = ByteArena()
+    base = 4 * PAGE_SIZE
+    arena.write(base + 5, b"old")  # a mapping replaces what was there
+    buf = arena.map(base, 2 * PAGE_SIZE + 1)
+    assert type(buf) is bytearray and buf == bytes(3 * PAGE_SIZE)
+    assert arena.read(base, 8) == bytes(8)
+    arena.write(base + PAGE_SIZE - 2, b"wxyz")  # across a page boundary
+    assert buf[PAGE_SIZE - 2 : PAGE_SIZE + 2] == b"wxyz"
+    buf[2 * PAGE_SIZE : 2 * PAGE_SIZE + 3] = b"abc"
+    assert arena.read(base + 2 * PAGE_SIZE - 1, 5) == b"\x00abc\x00"
+    arena.unmap(base, 2 * PAGE_SIZE + 1)
+    assert arena.read(base, 3 * PAGE_SIZE) == bytes(3 * PAGE_SIZE)
+    assert buf[PAGE_SIZE - 2 : PAGE_SIZE + 2] == b"wxyz"  # the buffer is its own again
+    with pytest.raises(ValueError):
+        arena.map(base + 1, PAGE_SIZE)
+
+
 def test_allocator_alignment_and_disjointness():
     alloc = Allocator()
     a = alloc.alloc(100)

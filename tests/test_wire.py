@@ -308,6 +308,37 @@ def test_every_example_packs_to_its_pinned_bytes():
         assert (body.kind.name, encode_body(body).hex()) == (kind, hexed)
 
 
+def test_every_pinned_body_decodes_alike_from_a_frame_and_through_the_framer():
+    # A bytes frame lends its payload as a view; the framer copies it out of
+    # its reused buffer.  Either way the body is the same.
+    lines = GOLDEN_BODIES.read_text().splitlines()
+    frames = []
+    for seq, line in enumerate(lines):
+        name, _, hexed = line.partition(" ")
+        kind = Kind[name]
+        payload = bytes.fromhex(hexed)
+        frames.append(encode_frame(Message(1, seq, KIND_CHANNEL[kind], kind, payload)))
+    framer = Framer()
+    fed = framer.feed(b"".join(frames))
+    assert len(fed) == len(lines)
+    for body, frame, copied in zip(_EXAMPLE_BODIES, frames, fed):
+        viewed, used = decode_frame(frame)
+        assert used == len(frame)
+        assert type(viewed.payload) is memoryview and type(copied.payload) is bytes
+        assert decode_body(viewed) == decode_body(copied) == body
+
+
+def test_a_message_from_the_framer_keeps_its_payload_across_later_feeds():
+    payloads = [bytes([i]) * (100 + i) for i in range(1, 6)]
+    stream = b"".join(encode_frame(Message(1, i, Channel.FILE_OP, Kind.COPY_RESPONSE, p))
+                      for i, p in enumerate(payloads))
+    framer = Framer()
+    got = []
+    for pos in range(0, len(stream), 37):  # frames split across feeds, buffer reused
+        got.extend(framer.feed(stream[pos : pos + 37]))
+    assert [bytes(msg.payload) for msg in got] == payloads
+
+
 @pytest.mark.parametrize("kind", [row[0] for row in _LAYOUTS], ids=lambda k: k.name)
 def test_every_byte_substitution_decodes_exactly_or_is_a_protocol_error(kind):
     examples = [body for body in _EXAMPLE_BODIES if body.kind == kind]
