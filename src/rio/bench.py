@@ -32,7 +32,7 @@ from .devices import (
 from .errors import DisconnectedError
 from .client import HandleState
 from .dsm import Policy
-from .testbed import SimWorld, link_preset
+from .testbed import SimWorld
 from .wire import LinkConfig
 
 CSV_COLUMNS = ("scenario", "param", "metric", "value", "round_trips", "bytes_on_wire")
@@ -79,15 +79,6 @@ def _link_name(link: str | LinkConfig) -> str:
     return link if isinstance(link, str) else "custom"
 
 
-def _hb_interval_for(config: LinkConfig, largest_frame_bytes: int) -> float:
-    """Keep the heartbeat budget clear of long single-frame transfers.
-
-    One direction of the link is FIFO across channels, so a multi-second
-    frame (e.g. a full photo buffer) legitimately delays acks.
-    """
-    return max(500.0, 1.5 * config.transfer_ms(largest_frame_bytes))
-
-
 # ---------------------------------------------------------------------------
 # Audio
 # ---------------------------------------------------------------------------
@@ -107,14 +98,12 @@ def bench_audio(buffer_ms: float = 7.0, link: str | LinkConfig = "lan", *,
         raise ValueError("buffer must be at least 3 ms")
     if direction not in ("out", "in"):
         raise ValueError("direction must be 'out' or 'in'")
-    config = link_preset(link)
     audio = AudioConfig(in_frame_bytes=1)
     frame_bytes = audio.out_frame_bytes if direction == "out" else audio.in_frame_bytes
     frames_per_seg = round(buffer_ms * audio.rate_hz / 1000.0)
     if n_segments is None:
         n_segments = max(60, min(1200, int(8000.0 / buffer_ms)))
-    world = SimWorld(config, seed=seed, optimize=optimize, audio=audio,
-                     heartbeat_interval_ms=_hb_interval_for(config, frames_per_seg * frame_bytes + 64))
+    world = SimWorld(link, seed=seed, optimize=optimize, audio=audio)
     cmd = AUDIO_XFER_OUT if direction == "out" else AUDIO_XFER_IN
 
     async def drive():
@@ -159,14 +148,8 @@ def bench_camera(mode: str = "stream", resolution: str = "vga",
     if mode == "stream" and n_frames <= warmup + 1:
         raise ValueError(f"{n_frames} frames leave no interval to time after the "
                          f"{warmup}-frame warmup; need at least {warmup + 2}")
-    config = link_preset(link)
     fmt = FrameFormat(width, height)
-    # Acks share the direction with frame data, so budget for the whole
-    # in-flight window (every buffer's batch queued back to back).
-    inflight = (CAPTURE_BUFFER_BYTES if mode == "capture"
-                else buffers * fmt.buffer_bytes) + 8200
-    world = SimWorld(config, seed=seed, optimize=optimize, dsm_policy=policy,
-                     heartbeat_interval_ms=_hb_interval_for(config, inflight))
+    world = SimWorld(link, seed=seed, optimize=optimize, dsm_policy=policy)
 
     if mode == "stream":
         async def stream():

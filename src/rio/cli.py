@@ -186,6 +186,9 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
         except (ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except RioError as exc:  # the scenario failed, e.g. its link went down
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         sys.stdout.write(bench.rows_to_csv(rows))
         return 0
     if args.command == "serve":

@@ -407,7 +407,8 @@ class VirtualHandle:
             log.info("handle %s: falling back to local device", self.name)
         else:
             self.state = FAILED
-        self.regions.clear()
+        for mapped in list(self.regions):
+            self._forget_region(mapped)
 
     def _check_usable(self) -> None:
         if self.state is CLOSED:
@@ -549,9 +550,9 @@ class VirtualHandle:
     async def close(self) -> None:
         """Unmap and release the remote descriptor, or the local twin's
         descriptor once the handle fell back, and leave the session."""
+        for mapped in list(self.regions):
+            await mapped.unmap()  # tells the server only while connected
         if self.state is CONNECTED:
-            for mapped in list(self.regions):
-                await mapped.unmap()
             try:
                 await self._request(FileOp.RELEASE)
             except DisconnectedError:

@@ -5,7 +5,7 @@ Both sides run a ``DsmNode``; coherence is tracked per 4 KB page, each
 page being read-write, read-only, or invalid.  Writes revoke the peer's
 copy; reads fetch on demand.  Every coherence message names one run of
 pages, ``(region, first page, count)``.  A read fetches the whole run of
-invalid pages it needs, up to ``FETCH_RUN_PAGES``, in one round trip; a
+invalid pages it needs in one round trip, however long; a
 write claims one page.  Device DMA bypasses access checks, so DMA
 completions enter through an explicit hook that either invalidates the
 peer's copy of the run or pushes the run's pages to it (update-push, used
@@ -27,10 +27,6 @@ from .memory import PAGE_SIZE
 from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch, ProtocolError
 
 GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
-# Pages in one fetch run.  A link direction is FIFO, so a reply holds back
-# the heartbeat acks behind it: 64 KB takes 0.42 s at wan's 1.2 Mbps, well
-# inside the 1.5 s heartbeat horizon.
-FETCH_RUN_PAGES = 16
 
 
 class PageState(IntEnum):
@@ -234,7 +230,7 @@ class DsmNode:
         ``waiter`` will be called once the page state changes; the caller
         must then retry.  A read that goes on for ``npages`` pages fetches
         the invalid pages after ``page`` with it, up to the first page that
-        is held or already in flight and to ``FETCH_RUN_PAGES`` in all.
+        is held or already in flight.
         """
         tracker = self.region(region_id).tracker
         state = tracker.get(page)  # DsmError outside the region
@@ -256,7 +252,7 @@ class DsmNode:
         end = page + 1
         if not write:
             states, pending_keys = tracker.states, self._pending
-            stop = min(page + min(npages, FETCH_RUN_PAGES), tracker.npages)
+            stop = min(page + npages, tracker.npages)
             while end < stop and states[end] == INVALID and (region_id, end) not in pending_keys:
                 end += 1
         pending = _Pending(write, want_own, page, end - page)
@@ -307,7 +303,7 @@ class DsmNode:
     def _on_fetch(self, body: PageFetch) -> None:
         region = self.region(body.region)
         first, count, tracker = body.page, body.count, region.tracker
-        if not 1 <= count <= FETCH_RUN_PAGES or (count > 1 and body.want_ownership):
+        if count < 1 or (count > 1 and body.want_ownership):
             raise ProtocolFault(f"fetch of {count} pages, ownership {body.want_ownership}")
         if INVALID in tracker.states[first : first + count]:
             raise ProtocolFault(

@@ -66,8 +66,8 @@ def resolve_link(link: str = "lan", latency_ms: Optional[float] = None,
 class SimWorld:
     def __init__(self, link: str | LinkConfig = "loopback", *, seed: int = 0,
                  optimize: bool = True, dsm_policy: Policy = Policy.UPDATE_PUSH,
-                 heartbeat_interval_ms: float = 500.0, audio: Optional[AudioConfig] = None,
-                 call_delay_ms: float = 7800.0, sms_delay_ms: float = 6200.0) -> None:
+                 audio: Optional[AudioConfig] = None, call_delay_ms: float = 7800.0,
+                 sms_delay_ms: float = 6200.0) -> None:
         self.kernel = SimKernel()
         self.rng = random.Random(seed)
         self.link_config = link_preset(link)
@@ -75,10 +75,9 @@ class SimWorld:
         self.audio_config = audio or AudioConfig()
         self.devices = default_devices(self.kernel, audio=self.audio_config,
                                        call_delay_ms=call_delay_ms, sms_delay_ms=sms_delay_ms)
-        shared = {"heartbeat_interval_ms": heartbeat_interval_ms, "optimize": optimize}
         self.server = Server(self.kernel, self.devices,
-                             ServerConfig(**shared, dma_policy=dsm_policy))
-        self.client = Client(self.kernel, ClientConfig(**shared),
+                             ServerConfig(optimize=optimize, dma_policy=dsm_policy))
+        self.client = Client(self.kernel, ClientConfig(optimize=optimize),
                              registry=audio_prefetch_registry(self.audio_config))
         self.server.attach(self.link.b)
         self.session: ClientSession = self.client.connect(self.link.a)

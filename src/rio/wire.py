@@ -46,8 +46,8 @@ Transports:
 
 * ``SimulatedLink`` -- a deterministic full-duplex link with configured
   one-way latency and throughput.  Frames on one direction are delivered
-  FIFO, serialized behind earlier in-flight frames; there is no loss or
-  reordering, only delay and (injected) disconnection.
+  FIFO, except that a heartbeat frame waits at most for one 64 KB piece of
+  a long reply or push; there is no loss, only delay and disconnection.
 * ``TcpEndpoint`` -- the same framing over a real TCP socket.
 
 Throughput unit convention: configuration values in "Mbps" are binary
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import logging
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from operator import attrgetter
@@ -71,6 +72,7 @@ HEADER_SIZE = HEADER.size  # 22 bytes
 MAX_PAYLOAD = (1 << 32) - HEADER_SIZE - 1
 
 MEGABIT = float(1 << 20)  # bits per "Mbps" unit
+PIECE_BYTES = 1 << 16  # a heartbeat frame waits for at most this much of a frame on the line
 
 log = logging.getLogger("rio.wire")
 
@@ -371,6 +373,7 @@ _FRAME_PAIRS = tuple((Kind(b), KIND_CHANNEL[b]) if b in KIND_CHANNEL else None
 COHERENCE_KINDS = frozenset(k for k, c in KIND_CHANNEL.items() if c == Channel.COHERENCE)
 # Kinds that close a request/response pair on the file-operation channel.
 RESPONSE_KINDS = (Kind.FILE_OP_RESPONSE, Kind.COPY_RESPONSE)
+_OUT_OF_BAND = Channel.HEARTBEAT  # the channel whose frames need not queue on a link
 _ENTRY_HEAD = struct.Struct(">QI")
 
 
@@ -651,9 +654,9 @@ class _SimEndpoint(Endpoint):
 class SimulatedLink:
     """Deterministic duplex link between two in-process endpoints.
 
-    Delivery time for a frame sent at ``t`` is
-    ``t + one_way_latency + frame_bytes*8/throughput`` pushed back behind
-    any earlier frame still occupying the same direction (FIFO).
+    A frame sent at ``t`` arrives ``one_way_latency + frame_bytes*8/throughput``
+    later, pushed back behind every earlier frame on its direction (FIFO); a
+    heartbeat frame, only behind earlier heartbeats and one ``PIECE_BYTES`` piece.
     """
 
     def __init__(self, kernel: Kernel, config: LinkConfig, rng=None) -> None:
@@ -661,7 +664,8 @@ class SimulatedLink:
         self.config = config
         self.stats = WireStats()
         self._rng = rng
-        self._busy_until = [0.0, 0.0]  # per direction: line free time
+        self._busy_until = ([0.0, 0.0], [0.0, 0.0])  # [heartbeat][direction]: free time
+        self._departs = ([], [])  # per direction: when each frame since the line was idle departed
         self._cut_at: Optional[float] = config.disconnect_at_ms
         self.a = _SimEndpoint(self, 0)  # a.send() delivers to b
         self.b = _SimEndpoint(self, 1)
@@ -686,12 +690,24 @@ class SimulatedLink:
         nbytes = len(frame)
         self.stats.bytes_on_wire += nbytes
         config = self.config
-        depart = max(now, self._busy_until[direction])
+        heartbeat = msg.channel is _OUT_OF_BAND
+        busy = self._busy_until[heartbeat]
+        depart = max(now, busy[direction])
+        departs, line_free = self._departs[direction], self._busy_until[False][direction]
+        if heartbeat and line_free > now and config.throughput_bps:  # after the piece on the line
+            del departs[: bisect_right(departs, now) - 1]  # frames that have left the line
+            end = departs[1] if len(departs) > 1 else line_free  # queued frames run back to back
+            piece = config.transfer_ms(PIECE_BYTES)
+            depart = max(depart, min(end, departs[0] + ((now - departs[0]) // piece + 1) * piece))
         arrival = depart + config.transfer_ms(nbytes) + config.one_way_latency_ms
         if config.jitter_ms and self._rng is not None:
             arrival += self._rng.uniform(0.0, config.jitter_ms)
-            arrival = max(arrival, self._busy_until[direction])
-        self._busy_until[direction] = arrival - config.one_way_latency_ms
+            arrival = max(arrival, busy[direction])
+        busy[direction] = arrival - config.one_way_latency_ms
+        if not heartbeat:
+            if depart == now:
+                departs.clear()  # the line was idle: no earlier frame is on it
+            departs.append(depart)
         receiver = self.b if direction == 0 else self.a
         self.kernel.call_at(arrival, self._deliver, receiver, frame)
         return arrival

@@ -70,6 +70,19 @@ def test_link_config_file(tmp_path):
     assert abs(float(out.strip().splitlines()[1].split(",")[3]) - 65.0) < 1.0
 
 
+def test_a_bench_whose_link_goes_down_is_an_error_not_a_traceback(tmp_path):
+    conf = tmp_path / "link.conf"
+    conf.write_text("latency_ms = 2.2\nthroughput_mbps = 14.3\ndisconnect_at_ms = 50\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = capture(["bench", "camera", "--mode", "stream", "--resolution", "vga",
+                           "--link-config", str(conf)])
+    assert rc == 1
+    assert out == ""
+    assert err.getvalue().splitlines()[-1] == "error: heartbeat timeout"
+    assert "Traceback" not in err.getvalue()
+
+
 def test_bad_flags_nonzero_exit():
     rc, _ = capture(["bench", "audio", "--buffer-ms", "not-a-number"])
     assert rc != 0

@@ -763,16 +763,19 @@ def test_page_read_by_runs_matches_the_per_page_reference(policy, prepare, fetch
     assert result == _read_over_mixed_pages(policy, prepare, _per_page_read)
 
 
-@pytest.mark.parametrize("link,width,height", [
-    pytest.param("wan", 640, 480, id="vga-wan"),
-    pytest.param("lan", 1920, 1080, id="1080p-lan"),
+@pytest.mark.parametrize("link,width,height,policy", [
+    pytest.param("wan", 640, 480, Policy.INVALIDATE, id="vga-wan"),
+    pytest.param("lan", 1920, 1080, Policy.INVALIDATE, id="1080p-lan"),
+    pytest.param("wan", 640, 480, Policy.UPDATE_PUSH, id="vga-wan-push"),
+    pytest.param("lan", 1920, 1080, Policy.UPDATE_PUSH, id="1080p-lan-push"),
 ])
-def test_a_whole_frame_read_keeps_the_session_live(link, width, height):
-    # Each fetch reply holds back the heartbeat acks queued behind it on the
-    # link; runs of FETCH_RUN_PAGES keep them inside the heartbeat horizon.
+def test_a_whole_frame_read_keeps_the_session_live(link, width, height, policy):
+    # The frame crosses the link as one message, a fetch reply or a push,
+    # that takes seconds on these links; the heartbeat acks pass it a
+    # piece at a time, so the session stays inside its heartbeat horizon.
     frame_bytes = width * height * 2
     buffer_bytes = -(-frame_bytes // PAGE_SIZE) * PAGE_SIZE
-    world = SimWorld(link, dsm_policy=Policy.INVALIDATE)
+    world = SimWorld(link, dsm_policy=policy)
 
     async def drive():
         handle = await world.session.open("framesource")
@@ -835,6 +838,29 @@ def test_the_arena_and_a_mapped_region_see_the_same_bytes():
     assert installed == read == want
     around = PAGE_SIZE - 4
     assert stored == want[around : around + 2] + b"wxyz" + want[around + 6 : around + 8]
+
+
+@pytest.mark.parametrize("end", ["link-cut", "session-closed"])
+def test_a_handle_closed_after_its_session_ended_leaves_no_region_mapped(end):
+    world = SimWorld(link="lan")
+    arena = world.client.arena
+
+    async def main():
+        handle, region = await _setup_frames(world, count=1)()
+        assert await handle.ioctl(FRAME_DQ) == 0
+        assert await region.page_read(region.base, VGA_FRAME) == frame_pattern(0, VGA_FRAME)
+        if end == "link-cut":
+            world.cut_link()
+            await world.kernel.sleep(3000.0)  # past the heartbeat horizon
+            assert not world.session.live
+        else:
+            await world.session.close()
+        await handle.close()
+        return range(region.base // PAGE_SIZE, (region.base + VGA_FRAME) // PAGE_SIZE)
+
+    region_pages = world.run(main())
+    assert arena._chunks  # the FRAME_SETUP argument, outside the region
+    assert not any(page in region_pages for page in arena._chunks)
 
 
 def test_map_and_unmap_cycles_keep_client_memory_bounded():

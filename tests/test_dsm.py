@@ -164,16 +164,25 @@ def test_a_read_fetches_its_invalid_run_in_one_exchange():
     assert pair.client.quiescent()
 
 
-def test_a_read_fetches_at_most_fetch_run_pages_per_exchange():
-    cap = dsmmod.FETCH_RUN_PAGES
-    pair = Pair(npages=cap + 4)
-    assert not pair.client.access(1, 0, False, npages=cap + 4)
-    assert list(pair.to_server) == [dsmmod.PageFetch(1, 0, False, cap)]
+def test_a_read_fetches_its_whole_run_in_one_exchange_and_a_run_past_the_region_is_a_fault():
+    npages = pages_for(640 * 480 * 2)  # one VGA frame
+    pair = Pair(npages=npages)
+    pair.server_buf[:] = bytes(range(256)) * (npages * PAGE_SIZE // 256)
+    assert not pair.client.access(1, 0, False, npages=npages + 5)  # the region bounds it
+    assert list(pair.to_server) == [dsmmod.PageFetch(1, 0, False, npages)]
+    pair.server.handle(pair.to_server.popleft())
+    (reply,) = pair.to_client
+    assert (reply.page, len(reply.data)) == (0, npages)
     pair.pump()
-    assert pair.client.readable_run(1, 0, cap + 4) == cap
-    # A longer run is one no peer of this code asks for: the server refuses it.
-    with pytest.raises(ProtocolFault):
-        pair.server.handle(dsmmod.PageFetch(1, 0, False, cap + 1))
+    assert pair.client.readable_run(1, 0, npages) == npages
+    assert pair.client_buf == pair.server_buf
+    # A run that goes past the region's end changes nothing and sends nothing.
+    before = list(pair.server.region(1).tracker.states)
+    for first, count in [(0, npages + 1), (npages - 1, 2), (npages, 1)]:
+        with pytest.raises(ProtocolFault):
+            pair.server.handle(dsmmod.PageFetch(1, first, False, count))
+    assert list(pair.server.region(1).tracker.states) == before
+    assert not pair.to_client
 
 
 @pytest.mark.parametrize("first, npages", [(0, 2), (0, 4), (1, 3)],

@@ -9,9 +9,9 @@ simulated number must regenerate it on purpose and say why:
 
 No bench scenario fetches pages on demand, so the fetch path under
 write-invalidate is pinned separately, twice: five VGA frames, each read
-whole (ten fetches pull the frame's 150 pages in runs of up to
-``FETCH_RUN_PAGES``) or one page per read (150 single-page fetches), must
-end at the exact recorded clock, traffic and DSM counters.  Like the CSV, a pin is re-recorded only on purpose, by
+whole (one fetch pulls the frame's 150 pages as one run) or one page per
+read (150 single-page fetches), must end at the exact recorded clock,
+traffic and DSM counters.  Like the CSV, a pin is re-recorded only on purpose, by
 running the test body, and the change that moves it says why.
 """
 
@@ -110,13 +110,13 @@ def test_per_page_fetch_path_simulated_numbers_pinned():
 
 
 # Recorded by running the test bodies above; the clock is compared exactly.
-# Whole-frame reads: ten fetches and replies per frame (runs of 16 pages).
-PINNED_NOW = 1896.778941078457
-PINNED_BYTES_ON_WIRE = 3077046
-PINNED_FRAMES_SENT = 129
-PINNED_CLIENT_DSM = {"fetches": 50, "invalidates_sent": 0, "pushes": 0, "installs": 750}
+# Whole-frame reads: one fetch and one reply per frame (a run of 150 pages).
+PINNED_NOW = 1697.0145769025903
+PINNED_BYTES_ON_WIRE = 3073761
+PINNED_FRAMES_SENT = 39
+PINNED_CLIENT_DSM = {"fetches": 5, "invalidates_sent": 0, "pushes": 0, "installs": 750}
 # One page per read: 150 fetches and replies per frame.
-PER_PAGE_NOW = 5004.042022235337
+PER_PAGE_NOW = 5004.030284705289
 PER_PAGE_BYTES_ON_WIRE = 3128510
 PER_PAGE_FRAMES_SENT = 1543
 PER_PAGE_CLIENT_DSM = {"fetches": 750, "invalidates_sent": 0, "pushes": 0, "installs": 750}

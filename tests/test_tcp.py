@@ -13,7 +13,7 @@ from pathlib import Path
 
 from rio.client import Client, ClientConfig
 from rio.devices import ECHO_XFORM, FRAME_DQ, FRAME_SETUP, default_devices, frame_pattern
-from rio.dsm import FETCH_RUN_PAGES, Policy, pages_for
+from rio.dsm import Policy, pages_for
 from rio.kernel import RealKernel
 from rio.memory import PAGE_SIZE
 from rio.server import Server, ServerConfig
@@ -255,8 +255,8 @@ def test_a_vga_frame_read_whole_over_tcp_takes_one_page_fetch_per_run():
     finally:
         endpoint.close()
     assert frame == frame_pattern(0, frame_bytes)
-    # one PAGE_FETCH per run of FETCH_RUN_PAGES: 10 for the 150 pages
-    assert session.dsm.stats["fetches"] == -(-150 // FETCH_RUN_PAGES) == 10
+    # the frame's 150 invalid pages are one run: one PAGE_FETCH, one PAGE_DATA
+    assert session.dsm.stats["fetches"] == 1
     assert session.dsm.stats["installs"] == 150
     assert stopped.wait(5.0)
 

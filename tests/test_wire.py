@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rio.kernel import SimKernel
+from rio.testbed import link_preset
 from rio.wire import (
     Channel,
     CleanupNotice,
@@ -33,6 +34,7 @@ from rio.wire import (
     PageFetch,
     PageInvalidate,
     PageUpdateBatch,
+    PIECE_BYTES,
     ProtocolError,
     SimulatedLink,
     decode_body,
@@ -477,6 +479,69 @@ def test_fifo_random_burst_property():
     kernel.run_until_idle()
     assert [seq for _, seq in arrivals] == list(range(50))
     assert all(a[0] <= b[0] for a, b in zip(arrivals, arrivals[1:]))
+
+
+def _ack(seq):
+    return Message(1, seq, Channel.HEARTBEAT, Kind.HEARTBEAT_ACK, encode_body(HeartbeatAck(seq)))
+
+
+def _frame_behind_a_vga_reply(acks_at):
+    """On wan, a 614,400-byte reply leaves at 0 ms and a file-op response
+    is queued behind it at 100 ms; an ack is sent at each time in
+    ``acks_at``.  Returns the times ``send`` gave the reply and the
+    response, and each ack's send and delivery time."""
+    kernel = SimKernel()
+    link = SimulatedLink(kernel, link_preset("wan"))
+    acks = []
+    link.b.on_message = lambda m: m.kind == Kind.HEARTBEAT_ACK and acks.append(kernel.now())
+    reply = _delivery_time(kernel, link, 640 * 480 * 2, Channel.COHERENCE, Kind.PAGE_DATA)
+    response = None
+    for seq, (when, what) in enumerate(sorted([(t, "ack") for t in acks_at] + [(100.0, "")])):
+        kernel.run_until(when)
+        if what:
+            link.a.send(_ack(seq))
+        else:
+            response = _delivery_time(kernel, link, 80, Channel.FILE_OP, Kind.FILE_OP_RESPONSE)
+    kernel.run_until_idle()
+    return reply, response, list(zip(acks_at, acks))
+
+
+def test_a_heartbeat_ack_passes_a_long_reply_after_one_piece_and_moves_no_other_frame():
+    config = link_preset("wan")
+    piece_ms = config.transfer_ms(PIECE_BYTES)
+    assert piece_ms == pytest.approx(416.67, abs=0.01)
+    ack_ms = config.transfer_ms(HEADER_SIZE + 8) + config.one_way_latency_ms
+    reply, response, acks = _frame_behind_a_vga_reply([50.0, 1000.0, 3800.0, 4500.0])
+    assert reply > 3900.0  # the reply alone holds the line for 3.9 s
+    # Each ack leaves at the end of the piece then on the line, at the
+    # latest when that frame ends, or at once once the line is idle.
+    reply_ends = reply - config.one_way_latency_ms
+    assert [got for _, got in acks] == pytest.approx(
+        [piece_ms + ack_ms, 3 * piece_ms + ack_ms, reply_ends + ack_ms, 4500.0 + ack_ms])
+    assert all(got - sent <= piece_ms + ack_ms for sent, got in acks)
+    # The reply and the response queued behind it keep their FIFO times.
+    assert (reply, response) == _frame_behind_a_vga_reply([])[:2]
+    assert response == pytest.approx(reply + config.transfer_ms(HEADER_SIZE + 80))
+
+
+def test_heartbeat_frames_on_one_direction_never_swap():
+    kernel = SimKernel()
+    link = SimulatedLink(kernel, LinkConfig.mbps(27.6, 1.2, jitter_ms=400.0),
+                         rng=random.Random(5))
+    seen = []
+    link.b.on_message = lambda m: seen.append((m.channel, m.seq, kernel.now()))
+    for _ in range(3):
+        _delivery_time(kernel, link, 200_000, Channel.COHERENCE, Kind.PAGE_DATA)
+    for seq in range(40):
+        kernel.run_until(seq * 37.0)
+        link.a.send(_ack(seq))
+    kernel.run_until_idle()
+    acks = [(seq, t) for channel, seq, t in seen if channel == Channel.HEARTBEAT]
+    assert [seq for seq, _ in acks] == list(range(40))
+    assert all(a[1] <= b[1] for a, b in zip(acks, acks[1:]))
+    # They overtake the bulk frames, which stay in order among themselves.
+    assert seen[0][0] == Channel.HEARTBEAT
+    assert [seq for channel, seq, _ in seen if channel == Channel.COHERENCE] == [0, 1, 2]
 
 
 def test_round_trip_counter_counts_response_frames():
