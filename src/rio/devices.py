@@ -428,6 +428,11 @@ def audio_prefetch_registry(audio: Optional[AudioConfig] = None) -> dict:
     }
 
 
+# ``_RAMP[j]`` is 7*j % 256.  As 7*183 % 256 == 1, the ramp from ``first``
+# is this table from ``first * 183 % 256``: ``_ramp`` slices its one period.
+_RAMP = bytes(7 * j & 0xFF for j in range(512))
+
+
 def _ramp(first: int, nbytes: int, out: Optional[bytearray] = None) -> Optional[bytes]:
     """``nbytes`` bytes where byte i is (first + 7*i) % 256: written into
     the start of ``out`` if one is given, else returned.
@@ -440,7 +445,8 @@ def _ramp(first: int, nbytes: int, out: Optional[bytearray] = None) -> Optional[
     buf = bytearray(nbytes) if out is None else out
     with memoryview(buf) as view:
         done = min(nbytes, 256)
-        view[:done] = bytes((first + 7 * i) & 0xFF for i in range(done))
+        start = first * 183 & 0xFF
+        view[:done] = _RAMP[start : start + done]
         while done < nbytes:
             step = min(done, nbytes - done)
             view[done : done + step] = view[:step]

@@ -63,39 +63,41 @@ def pages_for(length: int) -> int:
 
 
 class PageStore:
-    def read_page(self, index: int) -> bytes:
-        """The page's bytes, or a view of them that the next write to the
-        page changes: the node hands it straight to ``send``."""
-        raise NotImplementedError
-
-    def write_page(self, index: int, data: bytes) -> None:
+    def run(self, first: int, count: int) -> list:
+        """Writable views of ``count`` pages from ``first``, back to back: one
+        per piece of contiguous storage the run crosses.  The node sends them
+        as they are and installs into them; it checks the run against the
+        region first."""
         raise NotImplementedError
 
 
 class ViewStore(PageStore):
-    """Pages that are writable views of a buffer: on the server the pages a
-    device mapped or a buffer of whole pages, on the client the buffer of a
-    shadow region.
+    """Pages held in pieces, each a view of one buffer's consecutive pages:
+    on the server each buffer a device mapped, or a global buffer; on the
+    client the buffer of a shadow region.
 
-    ``read_page`` returns the page's view, not a copy; a buffer cannot be
-    resized while its views exist.  What the node sends is still a copy
-    taken at send time: ``send`` encodes the frame, copying each page into
-    it, before it returns, so a later fill of the buffer does not reach a
-    sent frame.
+    ``run`` returns views, not copies; a buffer cannot be resized while its
+    views exist.  What the node sends is still a copy taken at send time:
+    ``send`` encodes the frame, copying each view into it, before it
+    returns, so a later fill of the buffer does not reach a sent frame.
     """
 
-    def __init__(self, sources: Iterable[tuple[bytearray, int]]) -> None:
-        self.pages = [memoryview(buf)[off : off + PAGE_SIZE] for buf, off in sources]
+    def __init__(self, pieces: Iterable) -> None:
+        self.pieces = [memoryview(piece) for piece in pieces]  # whole pages, back to back
 
     @classmethod
     def of_buffer(cls, buf: bytearray) -> "ViewStore":
-        return cls((buf, off) for off in range(0, len(buf), PAGE_SIZE))
+        return cls([buf])
 
-    def read_page(self, index: int) -> memoryview:
-        return self.pages[index]
-
-    def write_page(self, index: int, data: bytes) -> None:
-        self.pages[index][:] = data
+    def run(self, first: int, count: int) -> list[memoryview]:
+        lo, hi = first * PAGE_SIZE, (first + count) * PAGE_SIZE
+        views, start = [], 0
+        for piece in self.pieces:
+            stop = start + len(piece)
+            if lo < stop and start < hi:
+                views.append(piece[max(lo - start, 0) : min(hi, stop) - start])
+            start = stop
+        return views
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +312,29 @@ class DsmNode:
                 f"peer fetched pages {first}..{first + count - 1} of region "
                 f"{body.region}, one of which is invalid on both sides"
             )
-        read_page = region.store.read_page
         # DsmError past the region's end, before anything is sent
         tracker.set_range(first, count, INVALID if body.want_ownership else READ_ONLY)
-        self.send(PageData(body.region, first, [read_page(p) for p in range(first, first + count)]))
+        self.send(PageData(body.region, first, region.store.run(first, count)))
 
     def _install(self, body, state: PageState) -> None:
-        """Write a run's pages and give them ``state``; a run the region
-        cannot take raises ``DsmError`` before any page is written."""
-        region = self.region(body.region)
-        region.tracker.set_range(body.page, len(body.data), state)
-        write_page = region.store.write_page
-        for page, data in enumerate(body.data, body.page):
-            write_page(page, data)
-        self.stats["installs"] += len(body.data)
+        """Copy a run's pages into the region and give them ``state``; a run
+        that is not whole pages, or that the region cannot take, raises
+        ``DsmError`` before any page is written."""
+        region, data = self.region(body.region), body.data
+        src = memoryview(data[0] if len(data) == 1 else b"".join(data))
+        count, rest = divmod(len(src), PAGE_SIZE)
+        if rest or not count:
+            raise ProtocolFault(f"a run of {len(src)} bytes is not whole pages")
+        region.tracker.set_range(body.page, count, state)
+        pos = 0
+        for view in region.store.run(body.page, count):
+            view[:] = src[pos : pos + len(view)]
+            pos += len(view)
+        self.stats["installs"] += count
 
     def _on_data(self, body: PageData) -> None:
-        region_id, first, count = body.region, body.page, len(body.data)
+        region_id, first = body.region, body.page
+        count = sum(map(len, body.data)) // PAGE_SIZE  # ``_install`` refuses a part page
         pending = self._pending.get((region_id, first))
         if pending is None or pending.first != first or pending.count != count:
             raise ProtocolFault(f"data for {count} pages from page {first} of region "
@@ -377,10 +385,8 @@ class DsmNode:
             self.stats["invalidates_sent"] += 1
             self.send(PageInvalidate(region_id, first, count))
         else:
-            read_page = region.store.read_page
             self.stats["pushes"] += 1
-            self.send(PageUpdateBatch(region_id, first,
-                                      [read_page(page) for page in range(first, first + count)]))
+            self.send(PageUpdateBatch(region_id, first, region.store.run(first, count)))
         return count
 
     # -- helpers ----------------------------------------------------------------

@@ -290,11 +290,15 @@ class ServerSession(Peer):
         npages = dsmmod.pages_for(req.length)
         if len(mem.mapped) != npages:
             return -EINVAL
-        by_addr = sorted(mem.mapped, key=lambda m: m[2])
-        for i, (_, _, target_off) in enumerate(by_addr):
+        pieces: list[list] = []  # [buffer, start, end]: a buffer's consecutive pages
+        for i, (buf, off, target_off) in enumerate(sorted(mem.mapped, key=lambda m: m[2])):
             if target_off != i * PAGE_SIZE:
                 return -EINVAL
-        store = dsmmod.ViewStore((buf, off) for buf, off, _ in by_addr)
+            if pieces and pieces[-1][0] is buf and pieces[-1][2] == off:
+                pieces[-1][2] += PAGE_SIZE
+            else:
+                pieces.append([buf, off, off + PAGE_SIZE])
+        store = dsmmod.ViewStore(memoryview(buf)[start:end] for buf, start, end in pieces)
         region_id = self._region_id
         self._region_id += 1
         region = dsmmod.make_region(region_id, req.length, store, self.config.dma_policy,

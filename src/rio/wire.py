@@ -26,12 +26,13 @@ payload decodes exactly, every byte accounted for, or raises
 
 Copies: a frame's bytes are copied once into the frame, by the one join
 or concatenation in ``encode_frame``.  A run of pushed or fetched pages is
-sent as a tuple of its parts (the head, then each page's buffer), which
-``encode_frame`` joins with the header, so a page goes from the device
-buffer into the frame in that one copy.  The payload of a ``bytes`` frame
-(``SimulatedLink``) stays a view of it; ``decode_frame`` copies it out of
-any other buffer, since ``Framer`` reuses its own.  Page bytes decoded
-from a payload stay views of it until the receiver installs them.
+sent as a tuple of its parts (the head, then a view of each piece of
+storage it spans, a device buffer being one), which ``encode_frame`` joins
+with the header, so a page goes from the device buffer into the frame in
+that one copy.  The payload of a ``bytes`` frame (``SimulatedLink``) stays
+a view of it; ``decode_frame`` copies it out of any other buffer, since
+``Framer`` reuses its own.  A decoded run of pages is one view of the
+payload until the receiver installs it, one copy per piece of its storage.
 
 Sessions: ``Peer`` is the session core of both stubs.  It numbers the
 frames it sends per channel, derives the kind and channel of each body it
@@ -59,7 +60,7 @@ from __future__ import annotations
 import logging
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from enum import IntEnum
 from operator import attrgetter
 from typing import Callable, Optional
@@ -260,7 +261,7 @@ class PageFetch:
 class PageData:
     region: int
     page: int
-    data: list[bytes]  # one buffer (or view) per page, from ``page`` on
+    data: list[bytes]  # buffers (or views) of whole pages, back to back from ``page``
 
 
 @dataclass(slots=True)
@@ -274,7 +275,7 @@ class PageInvalidate:
 class PageUpdateBatch:
     region: int
     page: int
-    data: list[bytes]  # one buffer (or view) per page, from ``page`` on
+    data: list[bytes]  # buffers (or views) of whole pages, back to back from ``page``
 
 
 @dataclass(slots=True)
@@ -309,7 +310,7 @@ class OpenAck:
 # A counted tail's count is the last field of its kind's head layout.
 NO_TAIL = 0
 RAW = 1       # the rest of the payload
-PAGE = 2      # one or more whole pages
+PAGE = 2      # one or more whole pages, decoded as one view
 ENTRIES = 3   # count x (u64 address, u32 length, that many bytes)
 NAME = 4      # count bytes of UTF-8
 
@@ -379,7 +380,7 @@ _ENTRY_HEAD = struct.Struct(">QI")
 
 def _payload(row: _Row, body):
     """The payload of ``body``: bytes, or for a run of pages a tuple of its
-    parts (the head, then each page's buffer, not a copy), which
+    parts (the head, then the run's buffers, not copies), which
     ``encode_frame`` joins with the frame header."""
     vals = row.fields(body)
     tail = row.tail
@@ -408,8 +409,8 @@ def encode_body(body) -> bytes:
 
 def decode_body(msg: Message):
     """The typed body of a message.  Every payload byte is accounted for, or
-    this raises ``ProtocolError``, so a body re-encodes to its payload.  Page
-    bytes stay views of the payload; installing them is their copy."""
+    this raises ``ProtocolError``, so a body re-encodes to its payload.  A
+    run of pages stays one view of the payload; installing it is its copy."""
     row = _ROWS[msg.kind]
     payload = msg.payload
     head = row.head
@@ -431,8 +432,7 @@ def decode_body(msg: Message):
             end = size
             if end == off or (end - off) % PAGE_SIZE:
                 raise ValueError(f"{end - off} bytes are not whole pages")
-            view = memoryview(payload)
-            data = [view[pos : pos + PAGE_SIZE] for pos in range(off, end, PAGE_SIZE)]
+            data = [memoryview(payload)[off:]]
         else:
             *vals, count = vals
             if tail == ENTRIES:
@@ -565,8 +565,10 @@ class LinkConfig:
     disconnect_at_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.one_way_latency_ms < 0:
-            raise ValueError("latency must be >= 0")
+        if any(value != value for value in astuple(self)):  # only NaN differs from itself
+            raise ValueError(f"link settings must be numbers: {self}")
+        if self.one_way_latency_ms < 0 or self.jitter_ms < 0:
+            raise ValueError("latency and jitter must be >= 0")
         if self.throughput_bps is not None and self.throughput_bps <= 0:
             raise ValueError("throughput must be > 0")
 

@@ -23,9 +23,9 @@ from typing import Optional
 from rio.dsm import (
     DsmNode,
     PageState,
-    PageStore,
     Policy,
     ProtocolFault,
+    ViewStore,
     _Pending,
     make_region,
 )
@@ -47,17 +47,32 @@ from rio.wire import (
 RW, RO, INV = PageState.READ_WRITE, PageState.READ_ONLY, PageState.INVALID
 
 
-class TagStore(PageStore):
-    """Pages hold tiny tag values instead of 4 KB payloads."""
+class TagStore(ViewStore):
+    """Each page is filled with one tag byte; ``tags`` reads them."""
 
     def __init__(self, npages: int) -> None:
-        self.tags = [b"\x00"] * npages
+        self.buf = bytearray(npages * PAGE_SIZE)
+        super().__init__([self.buf])
 
-    def read_page(self, index: int) -> bytes:
-        return self.tags[index]
+    @property
+    def tags(self) -> bytes:
+        return bytes(self.buf[::PAGE_SIZE])
 
-    def write_page(self, index: int, data: bytes) -> None:
-        self.tags[index] = bytes(data)
+    def page(self, page: int) -> bytes:
+        return bytes(self.buf[page * PAGE_SIZE : (page + 1) * PAGE_SIZE])
+
+    def put(self, page: int, tag: int) -> None:
+        self.buf[page * PAGE_SIZE : (page + 1) * PAGE_SIZE] = _tag_page(tag)
+
+
+def _sent(queue: list):
+    """A node's send callback: queue the body with its run copied now, as
+    encoding a frame does, since the views it holds change with the store."""
+    def send(body) -> None:
+        if isinstance(body, (PageData, PageUpdateBatch)):
+            body = type(body)(body.region, body.page, [b"".join(body.data)])
+        queue.append(body)
+    return send
 
 
 @dataclass(frozen=True)
@@ -90,9 +105,9 @@ class ModelWorld:
         self.torn_down = False
         self.stores = {"client": TagStore(self.NPAGES), "server": TagStore(self.NPAGES)}
         self.nodes = {
-            "client": DsmNode(DsmNode.CLIENT, self.q_cs.append,
+            "client": DsmNode(DsmNode.CLIENT, _sent(self.q_cs),
                               coalesce_fetch_own=not naive),
-            "server": DsmNode(DsmNode.SERVER, self.q_sc.append,
+            "server": DsmNode(DsmNode.SERVER, _sent(self.q_sc),
                               coalesce_fetch_own=not naive),
         }
         length = self.NPAGES * PAGE_SIZE
@@ -108,11 +123,11 @@ class ModelWorld:
         if isinstance(body, PageFetch):
             return ("F", body.page, body.want_ownership, body.count)
         if isinstance(body, PageData):
-            return ("D", body.page, tuple(body.data))
+            return ("D", body.page, b"".join(body.data)[::PAGE_SIZE])
         if isinstance(body, PageInvalidate):
             return ("I", body.page, body.count)
         if isinstance(body, PageUpdateBatch):
-            return ("B", body.page, tuple(body.data))
+            return ("B", body.page, b"".join(body.data)[::PAGE_SIZE])
         raise AssertionError(body)
 
     def _node_key(self, side: str) -> tuple:
@@ -141,7 +156,7 @@ class ModelWorld:
         fresh.wake = dict(self.wake)
         fresh.torn_down = self.torn_down
         for side in ("client", "server"):
-            fresh.stores[side].tags = list(self.stores[side].tags)
+            fresh.stores[side].buf[:] = self.stores[side].buf
             src = self.nodes[side].region(1)
             dst = fresh.nodes[side].region(1)
             dst.tracker.states[:] = src.tracker.states
@@ -197,7 +212,7 @@ class ModelWorld:
             return
         pending = node._pending.get((1, body.page)) if isinstance(body, PageData) else None
         exact_run = pending is not None and (pending.first, pending.count) == (
-            body.page, len(body.data))
+            body.page, len(b"".join(body.data)) // PAGE_SIZE)
         before = self._node_key(side)
         try:
             node.handle(body)
@@ -216,12 +231,12 @@ class ModelWorld:
         if op.kind == "dma":
             assert side == "server"
             for page in range(op.page, op.page + op.count):
-                self.stores[side].write_page(page, bytes([op.tag]))
+                self.stores[side].put(page, op.tag)
             node.dma_complete(1, op.page * PAGE_SIZE, op.count * PAGE_SIZE)
             self._finish(side)
             return
         if op.kind == "stray":
-            self.q_sc.append(PageData(1, op.page, [bytes([op.tag])] * op.count))
+            self.q_sc.append(PageData(1, op.page, [_tag_page(op.tag) * op.count]))
             self._finish(side)
             return
         if op.kind == "read":
@@ -236,7 +251,7 @@ class ModelWorld:
         ok = node.access(1, op.page, True, waiter=self._waker(side))
         if not ok:
             return
-        self.stores[side].write_page(op.page, bytes([op.tag]))
+        self.stores[side].put(op.page, op.tag)
         self._finish(side)
 
     def _finish(self, side: str) -> None:
@@ -353,7 +368,7 @@ class _WireNode:
         self.endpoint = endpoint
         self.seq = 0
         self.node = DsmNode(side, self._send)
-        self.store = TagPageStore(npages)
+        self.store = TagStore(npages)
         length = npages * PAGE_SIZE
         initial = INV if side == "client" else RW
         self.node.register_region(make_region(1, length, self.store, policy, initial))
@@ -376,32 +391,19 @@ class _WireNode:
 
     async def read(self, page: int) -> bytes:
         await self.ensure(page, False)
-        return self.store.read_page(page)
+        return self.store.page(page)
 
     async def write(self, page: int, tag: int) -> None:
         await self.ensure(page, True)
-        self.store.write_page(page, _tag_page(tag))
+        self.store.put(page, tag)
 
     def dma(self, page: int, tag: int) -> None:
-        self.store.write_page(page, _tag_page(tag))
+        self.store.put(page, tag)
         self.node.dma_complete(1, page * PAGE_SIZE, PAGE_SIZE)
 
 
 def _tag_page(tag: int) -> bytes:
     return bytes([tag & 0xFF]) * PAGE_SIZE
-
-
-class TagPageStore(PageStore):
-    """Full 4096-byte pages (the wire codec requires real page payloads)."""
-
-    def __init__(self, npages: int) -> None:
-        self.pages = [bytes(PAGE_SIZE)] * npages
-
-    def read_page(self, index: int) -> bytes:
-        return self.pages[index]
-
-    def write_page(self, index: int, data: bytes) -> None:
-        self.pages[index] = bytes(data)
 
 
 def _make_trace(rng: random.Random):
@@ -484,9 +486,9 @@ def run_coordinated_trace(seed: int) -> None:
         want = _tag_page(expected[page]) if page in expected else bytes(PAGE_SIZE)
         readable = []
         if c_state != INV:
-            readable.append(sides["client"].store.read_page(page))
+            readable.append(sides["client"].store.page(page))
         if s_state != INV:
-            readable.append(sides["server"].store.read_page(page))
+            readable.append(sides["server"].store.page(page))
         assert readable, f"page {page} invalid everywhere (seed {seed})"
         for got in readable:
             assert got == want, (
@@ -533,5 +535,5 @@ def run_uncoordinated_trace(seed: int) -> None:
         s_state = sides["server"].node.region(1).tracker.get(page)
         assert not (c_state == RW and s_state == RW), f"two writers (seed {seed})"
         if c_state == RO and s_state == RO:
-            assert (sides["client"].store.read_page(page)
-                    == sides["server"].store.read_page(page)), f"seed {seed}"
+            assert (sides["client"].store.page(page)
+                    == sides["server"].store.page(page)), f"seed {seed}"

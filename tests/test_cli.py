@@ -83,6 +83,20 @@ def test_a_bench_whose_link_goes_down_is_an_error_not_a_traceback(tmp_path):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("setting", ["jitter_ms = -5", "latency_ms = nan",
+                                     "throughput_mbps = nan", "disconnect_at_ms = nan"])
+def test_a_bad_link_config_file_is_an_error_not_a_run(tmp_path, setting):
+    conf = tmp_path / "link.conf"
+    conf.write_text(f"latency_ms = 2.2\nthroughput_mbps = 14.3\n{setting}\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc, out = capture(["bench", "camera", "--link-config", str(conf)])
+    assert rc == 2
+    assert out == ""
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
+
+
 def test_bad_flags_nonzero_exit():
     rc, _ = capture(["bench", "audio", "--buffer-ms", "not-a-number"])
     assert rc != 0

@@ -21,7 +21,7 @@ from rio.dsm import PageState, Policy
 from rio.errors import DisconnectedError
 from rio.memory import PAGE_SIZE
 from rio.testbed import SimWorld
-from rio.wire import LinkConfig
+from rio.wire import LinkConfig, PageFetch
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,29 @@ def test_page_read_after_dma_under_invalidate_fetches_pattern():
     got, fetches = world.run(main())
     assert fetches == 1
     assert got == frame_pattern(0, 614_400)[:4096]
+
+
+def test_a_read_of_the_whole_three_buffer_region_is_one_fetch_across_its_pieces():
+    world = SimWorld(link="lan", dsm_policy=Policy.INVALIDATE)
+    sent = []
+
+    async def main():
+        handle, region = await _setup_frames(world)()
+        for frame in range(3):
+            assert await handle.ioctl(FRAME_DQ) == frame
+        server = next(iter(world.server.sessions.values()))
+        pieces = [len(piece) for piece in server.dsm.region(region.region_id).store.pieces]
+        send = world.session.dsm.send
+        world.session.dsm.send = lambda body: (sent.append(body), send(body))[1]
+        installs = world.session.dsm.stats["installs"]
+        got = await region.page_read(region.base, 3 * 614_400)
+        return pieces, got, world.session.dsm.stats["installs"] - installs, region.region_id
+
+    pieces, got, installs, region_id = world.run(main())
+    assert pieces == [614_400] * 3  # each device buffer's pages are one piece
+    assert sent == [PageFetch(region_id, 0, False, 450)]
+    assert installs == 450
+    assert got == b"".join(frame_pattern(frame, 614_400) for frame in range(3))
 
 
 def test_page_read_under_update_push_costs_no_fetch():
@@ -662,13 +685,13 @@ def test_update_push_carries_the_frame_as_it_was_at_dma_time():
             # The device fills the buffer again before the batch arrives.
             store = server.dsm.region(region_id).store
             for page in range(offset // PAGE_SIZE, (offset + length - 1) // PAGE_SIZE + 1):
-                store.write_page(page, b"\xee" * PAGE_SIZE)
+                store.run(page, 1)[0][:] = b"\xee" * PAGE_SIZE
             overwrites.append(world.session.dsm.stats["installs"] - installs)
 
         server._dma_complete = dma_then_overwrite
         idx = await handle.ioctl(FRAME_DQ)
         got = await region.page_read(region.base + idx * 614_400, 614_400)
-        return got, bytes(server.dsm.region(region.region_id).store.read_page(0))
+        return got, bytes(server.dsm.region(region.region_id).store.run(0, 1)[0])
 
     got, server_page = world.run(main())
     assert overwrites == [0]  # overwritten before the client installed anything

@@ -11,8 +11,10 @@ No bench scenario fetches pages on demand, so the fetch path under
 write-invalidate is pinned separately, twice: five VGA frames, each read
 whole (one fetch pulls the frame's 150 pages as one run) or one page per
 read (150 single-page fetches), must end at the exact recorded clock,
-traffic and DSM counters.  Like the CSV, a pin is re-recorded only on purpose, by
-running the test body, and the change that moves it says why.
+traffic and DSM counters.  The push path is pinned the same way: the five
+frames read whole under update-push, each pushed as one 150-page batch.
+Like the CSV, a pin is re-recorded only on purpose, by running the test
+body, and the change that moves it says why.
 """
 
 from __future__ import annotations
@@ -66,10 +68,10 @@ def expected_frame(k: int) -> bytes:
     return bytes((k * 131 + i * 7 + 23) % 256 for i in range(256)) * (FRAME_BYTES // 256)
 
 
-def _fetch_five_frames(read_bytes: int):
-    """Five VGA frames under write-invalidate, each read ``read_bytes`` at a
-    time; returns the world and the frames read."""
-    world = SimWorld("lan", seed=0, dsm_policy=Policy.INVALIDATE)
+def _fetch_five_frames(read_bytes: int, policy: Policy = Policy.INVALIDATE):
+    """Five VGA frames under ``policy``, each read ``read_bytes`` at a time;
+    returns the world and the frames read."""
+    world = SimWorld("lan", seed=0, dsm_policy=policy)
 
     async def drive():
         handle = await world.session.open("framesource")
@@ -89,14 +91,15 @@ def _fetch_five_frames(read_bytes: int):
     return world, world.run(drive())
 
 
-def _assert_pinned(world, frames, now, bytes_on_wire, frames_sent, client_dsm) -> None:
+def _assert_pinned(world, frames, now, bytes_on_wire, frames_sent, client_dsm,
+                   server_dsm=None) -> None:
     assert frames == [expected_frame(k) for k in range(5)]
     (server_session,) = world.server.sessions.values()
     assert world.now() == now
     assert world.stats.bytes_on_wire == bytes_on_wire
     assert world.stats.frames_sent == frames_sent
     assert world.session.dsm.stats == client_dsm
-    assert server_session.dsm.stats == PINNED_SERVER_DSM
+    assert server_session.dsm.stats == (server_dsm or PINNED_SERVER_DSM)
 
 
 def test_fetch_path_simulated_numbers_pinned():
@@ -107,6 +110,11 @@ def test_fetch_path_simulated_numbers_pinned():
 def test_per_page_fetch_path_simulated_numbers_pinned():
     _assert_pinned(*_fetch_five_frames(4096), PER_PAGE_NOW, PER_PAGE_BYTES_ON_WIRE,
                    PER_PAGE_FRAMES_SENT, PER_PAGE_CLIENT_DSM)
+
+
+def test_push_path_simulated_numbers_pinned():
+    _assert_pinned(*_fetch_five_frames(FRAME_BYTES, Policy.UPDATE_PUSH), PUSH_NOW,
+                   PUSH_BYTES_ON_WIRE, PUSH_FRAMES_SENT, PUSH_CLIENT_DSM, PUSH_SERVER_DSM)
 
 
 # Recorded by running the test bodies above; the clock is compared exactly.
@@ -121,6 +129,12 @@ PER_PAGE_BYTES_ON_WIRE = 3128510
 PER_PAGE_FRAMES_SENT = 1543
 PER_PAGE_CLIENT_DSM = {"fetches": 750, "invalidates_sent": 0, "pushes": 0, "installs": 750}
 PINNED_SERVER_DSM = {"fetches": 0, "invalidates_sent": 5, "pushes": 0, "installs": 0}
+# Update-push, whole-frame reads: the server pushes each frame as one batch.
+PUSH_NOW = 1674.8145053676797
+PUSH_BYTES_ON_WIRE = 3073386
+PUSH_FRAMES_SENT = 29
+PUSH_CLIENT_DSM = {"fetches": 0, "invalidates_sent": 0, "pushes": 0, "installs": 750}
+PUSH_SERVER_DSM = {"fetches": 0, "invalidates_sent": 0, "pushes": 5, "installs": 0}
 
 
 if __name__ == "__main__":

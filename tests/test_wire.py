@@ -208,7 +208,7 @@ def test_copy_and_page_codecs():
         OpenRequest(2, "sensor"),
         OpenAck(False, 0, 19),
     ):
-        assert _decode(body.kind, encode_body(body)) == body
+        assert _decode(body.kind, encode_body(body)) == _joined(body)
 
 
 def test_update_batch_decoded_from_a_reused_buffer_owns_its_pages():
@@ -219,8 +219,8 @@ def test_update_batch_decoded_from_a_reused_buffer_owns_its_pages():
     assert used == len(buf)
     buf[:] = bytes(len(buf))  # the framer reuses its buffer after a decode
     decoded = decode_body(msg)
-    assert decoded == body
-    assert [bytes(data) for data in decoded.data] == pages
+    assert decoded == _joined(body)
+    assert b"".join(decoded.data) == b"".join(pages)
 
 
 def _page_run_cuts(npages: int) -> list[int]:
@@ -236,6 +236,14 @@ def _decode(kind: Kind, payload: bytes):
     return decode_body(Message(1, 0, KIND_CHANNEL[kind], kind, payload))
 
 
+def _joined(body):
+    """``body`` with a run's buffers joined into one, as ``decode_body``
+    gives a run back."""
+    if isinstance(body, (PageData, PageUpdateBatch)):
+        return type(body)(body.region, body.page, [b"".join(body.data)])
+    return body
+
+
 def _assert_rejected(kind: Kind, payload: bytes) -> None:
     with pytest.raises(ProtocolError):
         _decode(kind, payload)
@@ -248,13 +256,14 @@ def _assert_only_whole_page_runs_decode(body_type) -> None:
         body = body_type(5, 17, pages)
         payload = encode_body(body)
         assert len(payload) == 12 + npages * 4096
-        assert _decode(body.kind, payload) == body
+        assert _decode(body.kind, payload) == _joined(body)
         for cut in _page_run_cuts(npages):
             _assert_rejected(body.kind, payload[:cut])
         for extra in (b"\x00", bytes(4), bytes(4095), bytes(4097), bytes(8191)):
             _assert_rejected(body.kind, payload + extra)
         # A whole further page makes the run one page longer.
-        assert _decode(body.kind, payload + bytes(4096)) == body_type(5, 17, pages + [bytes(4096)])
+        assert _decode(body.kind, payload + bytes(4096)) == _joined(
+            body_type(5, 17, pages + [bytes(4096)]))
 
 
 def test_truncated_or_padded_page_data_is_a_protocol_error():
@@ -263,6 +272,22 @@ def test_truncated_or_padded_page_data_is_a_protocol_error():
 
 def test_truncated_or_padded_update_batch_is_a_protocol_error():
     _assert_only_whole_page_runs_decode(PageUpdateBatch)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([PageData, PageUpdateBatch]), st.integers(1, 8),
+       st.lists(st.integers(1, 7), max_size=7))
+def test_any_whole_page_split_of_a_run_encodes_alike_and_decodes_back(body_type, npages, cuts):
+    run = b"".join(bytes([page]) * 2048 + bytes(range(256)) * 8
+                   for page in range(npages))
+    edges = [0, *sorted({cut for cut in cuts if cut < npages}), npages]
+    split = [run[a * 4096 : b * 4096] for a, b in zip(edges, edges[1:])]
+    payload = encode_body(body_type(5, 17, split))
+    assert payload == encode_body(body_type(5, 17, [run]))
+    decoded = _decode(body_type.kind, payload)
+    assert (type(decoded), decoded.region, decoded.page) == (body_type, 5, 17)
+    assert b"".join(decoded.data) == run
+    assert encode_body(decoded) == payload
 
 
 _EXAMPLE_BODIES = [
@@ -327,7 +352,7 @@ def test_every_pinned_body_decodes_alike_from_a_frame_and_through_the_framer():
         viewed, used = decode_frame(frame)
         assert used == len(frame)
         assert type(viewed.payload) is memoryview and type(copied.payload) is bytes
-        assert decode_body(viewed) == decode_body(copied) == body
+        assert decode_body(viewed) == decode_body(copied) == _joined(body)
 
 
 def test_a_message_from_the_framer_keeps_its_payload_across_later_feeds():
@@ -392,6 +417,27 @@ def test_link_config_validation():
         LinkConfig(-1.0, None)
     with pytest.raises(ValueError):
         LinkConfig(0.0, 0.0)
+
+
+NAN = float("nan")
+BAD_LINK_SETTINGS = {
+    "negative-jitter": ((1.0, None, -5.0), "latency_ms = 1\njitter_ms = -5\n"),
+    "nan-latency": ((NAN,), "latency_ms = nan\n"),
+    "nan-throughput": ((0.0, NAN), "throughput_mbps = nan\n"),
+    "nan-jitter": ((0.0, None, NAN), "jitter_ms = nan\n"),
+    "nan-disconnect": ((0.0, None, 0.0, NAN), "disconnect_at_ms = nan\n"),
+}
+
+
+@pytest.mark.parametrize("args, text", BAD_LINK_SETTINGS.values(), ids=BAD_LINK_SETTINGS)
+def test_a_negative_jitter_or_a_nan_setting_is_rejected(tmp_path, args, text):
+    # A negative jitter would reorder frames and give negative delivery times.
+    with pytest.raises(ValueError):
+        LinkConfig(*args)
+    path = tmp_path / "link.conf"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        LinkConfig.from_file(str(path))
 
 
 def test_link_config_from_file(tmp_path):
