@@ -79,6 +79,13 @@ def _link_name(link: str | LinkConfig) -> str:
     return link if isinstance(link, str) else "custom"
 
 
+def _row(world: SimWorld, link: str | LinkConfig, param: str, metric: str,
+         value: float) -> Row:
+    """A row with the round trips and bytes the world's link counted."""
+    return Row(_link_name(link), param, metric, value, world.stats.round_trips,
+               world.stats.bytes_on_wire)
+
+
 # ---------------------------------------------------------------------------
 # Audio
 # ---------------------------------------------------------------------------
@@ -124,8 +131,7 @@ def bench_audio(buffer_ms: float = 7.0, link: str | LinkConfig = "lan", *,
         return (total - steady_frames) / (world.now() - steady_start)  # kHz
 
     rate_khz = world.run(drive())
-    return Row(_link_name(link), f"buffer_ms={buffer_ms:g};dir={direction}",
-               "rate_khz", rate_khz, world.stats.round_trips, world.stats.bytes_on_wire)
+    return _row(world, link, f"buffer_ms={buffer_ms:g};dir={direction}", "rate_khz", rate_khz)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +176,7 @@ def bench_camera(mode: str = "stream", resolution: str = "vga",
             raise ValueError("frames took 0 ms of simulated time after warmup, so fps "
                              "is unbounded; the link needs latency or finite throughput")
         fps = (n_frames - 1 - warmup) * 1000.0 / span_ms
-        return Row(_link_name(link), f"mode=stream;res={width}x{height}", "fps",
-                   fps, world.stats.round_trips, world.stats.bytes_on_wire)
+        return _row(world, link, f"mode=stream;res={width}x{height}", "fps", fps)
 
     if mode == "capture":
         async def capture():
@@ -187,9 +192,7 @@ def bench_camera(mode: str = "stream", resolution: str = "vga",
             return elapsed / 1000.0
 
         seconds = world.run(capture())
-        return Row(_link_name(link), f"mode=capture;res={width}x{height}",
-                   "capture_s", seconds, world.stats.round_trips,
-                   world.stats.bytes_on_wire)
+        return _row(world, link, f"mode=capture;res={width}x{height}", "capture_s", seconds)
 
     raise ValueError("mode must be 'stream' or 'capture'")
 
@@ -219,8 +222,7 @@ def bench_sensor(link: str | LinkConfig = "lan", n_samples: int = 200, *,
         return sum(deltas) / len(deltas)
 
     mean_ms = world.run(drive())
-    return Row(_link_name(link), f"n={n_samples}", "mean_read_ms", mean_ms,
-               world.stats.round_trips, world.stats.bytes_on_wire)
+    return _row(world, link, f"n={n_samples}", "mean_read_ms", mean_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +252,7 @@ def bench_modem(kind: str = "call", link: str | LinkConfig = "lan", *,
         return (world.now() - start) / 1000.0
 
     seconds = world.run(drive())
-    return Row(_link_name(link), f"kind={kind}", "completion_s", seconds,
-               world.stats.round_trips, world.stats.bytes_on_wire)
+    return _row(world, link, f"kind={kind}", "completion_s", seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +436,3 @@ class Scenario:
             raise ValueError(f"unknown bench {self.bench!r}")
         rows = BENCHES[self.bench][0](link=self.link, seed=self.seed, **self.params)
         return rows if isinstance(rows, list) else [rows]
-
-    def to_csv(self) -> str:
-        return rows_to_csv(self.run())

@@ -31,7 +31,7 @@ from .devices import (
 )
 from .errors import DisconnectedError, RioError
 from .kernel import Cancelled, Future, Kernel
-from .memory import PAGE_SIZE, Allocator, ByteArena
+from .memory import PAGE_SIZE, Allocator, ByteArena, pages_for
 from .wire import (
     Channel,
     CleanupNotice,
@@ -302,11 +302,6 @@ class ClientSession(Peer):
 
     # -- page access (shadow regions) -------------------------------------------------
 
-    async def ensure_page(self, region_id: int, page: int, write: bool) -> None:
-        if self.live and self.dsm.ready(region_id, page, write):
-            return  # already permitted: no coherence traffic, no waiter
-        await self._acquire_page(region_id, page, write)
-
     async def _acquire_page(self, region_id: int, page: int, write: bool,
                             npages: int = 1) -> None:
         """Start or join the page's coherence traffic until access is granted;
@@ -327,56 +322,51 @@ class MappedRegion:
     """Client-side shadow of a server buffer; access goes through coherence."""
 
     def __init__(self, session: ClientSession, handle: "VirtualHandle",
-                 region_id: int, base: int, length: int, buf: bytearray) -> None:
+                 region_id: int, base: int, buf: bytearray) -> None:
         self.session = session
         self.handle = handle
         self.region_id = region_id
         self.base = base
-        self.length = length
-        self.npages = dsmmod.pages_for(length)
-        self.view = memoryview(buf)  # the region's bytes, also mapped in the arena
+        self.npages = len(buf) // PAGE_SIZE
+        self.view = memoryview(buf)  # the region's whole pages, also mapped in the arena
 
-    def _check_range(self, addr: int, length: int) -> None:
-        if addr < self.base or addr + length > self.base + len(self.view):
+    async def _walk(self, addr: int, length: int, write: bool,
+                    visit: Callable[[int, int], None]) -> None:
+        """Call ``visit(lo, hi)`` on each run of the region's bytes ``[lo, hi)``,
+        from ``addr`` for ``length`` bytes, whose pages may be used now.  Every
+        page passes its own permission check: the first page that may not be
+        used starts or joins its coherence traffic (a read fetches the invalid
+        run it starts), and the walk goes on from it once it is granted."""
+        lo, end = addr - self.base, addr - self.base + length
+        if lo < 0 or end > len(self.view):
             raise dsmmod.DsmError("access outside mapped region")
-
-    def _page_slices(self, addr: int, length: int):
-        self._check_range(addr, length)
-        pos = addr
-        end = addr + length
-        while pos < end:
-            page = (pos - self.base) // PAGE_SIZE
-            page_end = self.base + (page + 1) * PAGE_SIZE
-            take = min(end, page_end) - pos
-            yield page, pos, take
-            pos += take
+        session, region_id = self.session, self.region_id
+        last = (end - 1) // PAGE_SIZE
+        while lo < end:
+            page = lo // PAGE_SIZE
+            n = (session.dsm.usable_run(region_id, page, last - page + 1, write)
+                 if session.live else 0)
+            if n == 0:
+                await session._acquire_page(region_id, page, write, last - page + 1)
+                continue  # the page may be used now: take the run it starts
+            hi = min(end, (page + n) * PAGE_SIZE)
+            visit(lo, hi)
+            lo = hi
 
     async def page_read(self, addr: int, length: int) -> bytes:
-        # Every page passes its own permission check.  Each run of pages
-        # readable now is one slice of the region's buffer, and the result one
-        # copy of them all; the first page that is not readable fetches the
-        # invalid run it starts, which is then read with the pages after it.
-        self._check_range(addr, length)
-        session, base, region_id, view = self.session, self.base, self.region_id, self.view
-        parts = []
-        pos, end = addr, addr + length
-        last = (end - 1 - base) // PAGE_SIZE
-        while pos < end:
-            page = (pos - base) // PAGE_SIZE
-            n = session.dsm.readable_run(region_id, page, last - page + 1) if session.live else 0
-            if n == 0:
-                await session._acquire_page(region_id, page, False, last - page + 1)
-                continue  # the page is readable now: take the run it starts
-            stop = min(end, base + (page + n) * PAGE_SIZE)
-            parts.append(view[pos - base : stop - base])
-            pos = stop
+        parts = []  # a slice of the region's buffer per run; the result copies them once
+        view = self.view
+        await self._walk(addr, length, False, lambda lo, hi: parts.append(view[lo:hi]))
         return bytes(parts[0]) if len(parts) == 1 else b"".join(parts)
 
     async def page_write(self, addr: int, data: bytes) -> None:
-        data = bytes(data)
-        for page, pos, take in self._page_slices(addr, len(data)):
-            await self.session.ensure_page(self.region_id, page, write=True)
-            self.session.client.arena.write(pos, data[pos - addr : pos - addr + take])
+        # Into the region's buffer, which the arena maps at ``base``.
+        data, start, view = memoryview(bytes(data)), addr - self.base, self.view
+
+        def copy(lo: int, hi: int) -> None:
+            view[lo:hi] = data[lo - start : hi - start]
+
+        await self._walk(addr, len(data), True, copy)
 
     async def unmap(self) -> None:
         await self.handle._close_map(self)
@@ -524,27 +514,30 @@ class VirtualHandle:
         return mapped
 
     def _alloc_shadow(self, length: int) -> int:
-        return self.client.alloc(dsmmod.pages_for(length) * PAGE_SIZE, align=2 * 1024 * 1024)
+        return self.client.alloc(pages_for(length) * PAGE_SIZE, align=2 * 1024 * 1024)
 
     def _shadow_region(self, region_id: int, base: int, length: int,
                        initial: dsmmod.PageState) -> MappedRegion:
         """Register the client side of a coherent region, mapped at ``base``."""
         buf = self.client.arena.map(base, length)
-        self.session.dsm.register_region(dsmmod.make_region(
-            region_id, length, dsmmod.ViewStore.of_buffer(buf), dsmmod.Policy.INVALIDATE, initial))
-        mapped = MappedRegion(self.session, self, region_id, base, length, buf)
+        self.session.dsm.register_region(dsmmod.Region(
+            region_id, length, dsmmod.ViewStore([buf]), dsmmod.Policy.INVALIDATE, initial))
+        mapped = MappedRegion(self.session, self, region_id, base, buf)
         self.regions.append(mapped)
         return mapped
 
     def _forget_region(self, mapped: MappedRegion) -> None:
         self.session.dsm.drop_region(mapped.region_id)
-        self.client.arena.unmap(mapped.base, mapped.length)
+        self.client.arena.unmap(mapped.base, len(mapped.view))
         if mapped in self.regions:
             self.regions.remove(mapped)
 
     async def _close_map(self, mapped: MappedRegion) -> None:
         if self.state is CONNECTED:
-            await self._request(FileOp.CLOSE_MAP, region=mapped.region_id)
+            try:
+                await self._request(FileOp.CLOSE_MAP, region=mapped.region_id)
+            except DisconnectedError:
+                pass  # the region is forgotten either way
         self._forget_region(mapped)
 
     async def close(self) -> None:

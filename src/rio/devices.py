@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import Future, Kernel
-from .memory import PAGE_SIZE
+from .memory import PAGE_SIZE, pages_for
 
 # errno-style results (negative of these is returned by handlers)
 EIO = 5
@@ -139,8 +139,10 @@ class RegionRef:
     by the pages the device mapped and expose ``buf=None``.
     """
 
-    def __init__(self, region_id: int, length: int, buf: Optional[bytearray], owner) -> None:
+    def __init__(self, region_id: int, desc_id: int, length: int, buf: Optional[bytearray],
+                 owner) -> None:
         self.region_id = region_id
+        self.desc_id = desc_id  # the descriptor that mapped or allocated it
         self.length = length
         self.buf = buf
         self._owner = owner  # object with _dma_complete(region_id, offset, length)
@@ -480,7 +482,7 @@ class FrameFormat:
     @property
     def buffer_bytes(self) -> int:
         # Each buffer occupies whole pages.
-        return (self.frame_bytes + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
+        return pages_for(self.frame_bytes) * PAGE_SIZE
 
 
 FRAME_SETUP = iow(ord("V"), 1, 12)   # {width u32, height u32, buffer count u32}

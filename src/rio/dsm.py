@@ -11,6 +11,10 @@ completions enter through an explicit hook that either invalidates the
 peer's copy of the run or pushes the run's pages to it (update-push, used
 for frame streams).  Only the server pushes.
 
+Each side holds a region as one ``Region``: its pages (a ``ViewStore``),
+its DMA policy and each page's state.  ``usable_run`` counts the pages
+from one on that may be used now, with no state change.
+
 The node core is scheduler-free: ``access``/``handle`` make synchronous
 state transitions and emit outgoing messages through a callback, which
 lets the same code run under the event kernel, under a real socket, or
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Iterable, Optional
 
-from .memory import PAGE_SIZE
+from .memory import PAGE_SIZE, pages_for
 from .wire import PageData, PageFetch, PageInvalidate, PageUpdateBatch, ProtocolError
 
 GBUF_REGION_BASE = 1 << 32  # global buffers use client-chosen ids in this namespace
@@ -53,25 +57,12 @@ class ProtocolFault(DsmError, ProtocolError):
     """Coherence traffic that violates the protocol; session is bad."""
 
 
-def pages_for(length: int) -> int:
-    return (length + PAGE_SIZE - 1) // PAGE_SIZE
-
-
 # ---------------------------------------------------------------------------
-# Page storage backends
+# Regions: page storage and permission state
 # ---------------------------------------------------------------------------
 
 
-class PageStore:
-    def run(self, first: int, count: int) -> list:
-        """Writable views of ``count`` pages from ``first``, back to back: one
-        per piece of contiguous storage the run crosses.  The node sends them
-        as they are and installs into them; it checks the run against the
-        region first."""
-        raise NotImplementedError
-
-
-class ViewStore(PageStore):
+class ViewStore:
     """Pages held in pieces, each a view of one buffer's consecutive pages:
     on the server each buffer a device mapped, or a global buffer; on the
     client the buffer of a shadow region.
@@ -85,11 +76,10 @@ class ViewStore(PageStore):
     def __init__(self, pieces: Iterable) -> None:
         self.pieces = [memoryview(piece) for piece in pieces]  # whole pages, back to back
 
-    @classmethod
-    def of_buffer(cls, buf: bytearray) -> "ViewStore":
-        return cls([buf])
-
     def run(self, first: int, count: int) -> list[memoryview]:
+        """Writable views of ``count`` pages from ``first``, back to back: one
+        per piece the run crosses.  The node sends them as they are and
+        installs into them; it checks the run against the region first."""
         lo, hi = first * PAGE_SIZE, (first + count) * PAGE_SIZE
         views, start = [], 0
         for piece in self.pieces:
@@ -100,37 +90,28 @@ class ViewStore(PageStore):
         return views
 
 
-# ---------------------------------------------------------------------------
-# Page permission tracking
-# ---------------------------------------------------------------------------
+class Region:
+    """One region's pages on one side: where they are stored, the policy for
+    DMA into them, and the permission state of each."""
 
-
-class PageTracker:
-    """The permission state of each page of one region."""
-
-    def __init__(self, npages: int, initial: PageState) -> None:
-        self.npages = npages
-        self.states: list[PageState] = [initial] * npages
-
-    def _outside(self, page: int) -> DsmError:
-        return DsmError(f"page {page} outside region of {self.npages} pages")
+    def __init__(self, region_id: int, length: int, store: ViewStore, policy: Policy,
+                 initial: PageState) -> None:
+        self.region_id = region_id
+        self.npages = pages_for(length)
+        self.policy = policy
+        self.store = store
+        self.states: list[PageState] = [initial] * self.npages
 
     def check_run(self, first_page: int, npages: int) -> None:
         """Raise ``DsmError`` unless both ends of the run lie in the region
         (a list would take a negative index silently)."""
         for page in (first_page, first_page + npages - 1):
             if not 0 <= page < self.npages:
-                raise self._outside(page)
+                raise DsmError(f"page {page} outside region of {self.npages} pages")
 
     def get(self, page: int) -> PageState:
-        if not 0 <= page < self.npages:
-            raise self._outside(page)
+        self.check_run(page, 1)
         return self.states[page]
-
-    def set(self, page: int, state: PageState) -> None:
-        if not 0 <= page < self.npages:
-            raise self._outside(page)
-        self.states[page] = state
 
     def set_range(self, first_page: int, npages: int, state: PageState) -> None:
         """Set ``npages`` pages from ``first_page`` in one slice; a run
@@ -142,30 +123,14 @@ class PageTracker:
 
 
 # ---------------------------------------------------------------------------
-# Regions and the coherence node
+# The coherence node
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Region:
-    region_id: int
-    npages: int
-    policy: Policy
-    store: PageStore
-    tracker: PageTracker
-
-
-def make_region(region_id: int, length: int, store: PageStore, policy: Policy,
-                initial: PageState) -> Region:
-    npages = pages_for(length)
-    return Region(region_id, npages, policy, store, PageTracker(npages, initial))
 
 
 @dataclass
 class _Pending:
     """One fetch in flight, shared by every page of its run."""
 
-    write: bool
     want_ownership: bool  # False on the two-step path; the retry claims separately
     first: int
     count: int
@@ -234,8 +199,8 @@ class DsmNode:
         the invalid pages after ``page`` with it, up to the first page that
         is held or already in flight.
         """
-        tracker = self.region(region_id).tracker
-        state = tracker.get(page)  # DsmError outside the region
+        region = self.region(region_id)
+        state = region.get(page)  # DsmError outside the region
         pending = self._pending.get((region_id, page))
         if pending is not None:
             if waiter is not None:
@@ -245,7 +210,7 @@ class DsmNode:
             return True
         if state == READ_ONLY:
             # A write: claim ownership, revoke the peer's copy, take read-write.
-            tracker.set(page, READ_WRITE)
+            region.set_range(page, 1, READ_WRITE)
             self.stats["invalidates_sent"] += 1
             self.send(PageInvalidate(region_id, page))
             return True
@@ -253,11 +218,11 @@ class DsmNode:
         want_own = write and self.coalesce_fetch_own
         end = page + 1
         if not write:
-            states, pending_keys = tracker.states, self._pending
-            stop = min(page + npages, tracker.npages)
+            states, pending_keys = region.states, self._pending
+            stop = min(page + npages, region.npages)
             while end < stop and states[end] == INVALID and (region_id, end) not in pending_keys:
                 end += 1
-        pending = _Pending(write, want_own, page, end - page)
+        pending = _Pending(want_own, page, end - page)
         if waiter is not None:
             pending.waiters.append(waiter)
         for run_page in range(page, end):
@@ -266,24 +231,18 @@ class DsmNode:
         self.send(PageFetch(region_id, page, want_own, end - page))
         return False
 
-    def ready(self, region_id: int, page: int, write: bool) -> bool:
-        """True when ``access`` would return True with no state change:
-        the page is held read-write, or read-only for a read."""
-        state = self.region(region_id).tracker.get(page)  # DsmError outside the region
-        if (region_id, page) in self._pending:
-            return False
-        return state == READ_WRITE or (state == READ_ONLY and not write)
-
-    def readable_run(self, region_id: int, first: int, n: int) -> int:
-        """How many of the ``n`` pages from ``first`` a read may use now,
-        counted until the first page for which ``ready`` is False."""
-        tracker = self.region(region_id).tracker
-        tracker.check_run(first, n)  # DsmError outside the region
-        end = first + n
-        try:
-            end = tracker.states.index(INVALID, first, end)
-        except ValueError:
-            pass  # every page in the run is held
+    def usable_run(self, region_id: int, first: int, n: int, write: bool = False) -> int:
+        """How many of the ``n`` pages from ``first`` may be used now, with no
+        state change: counted up to the first page that is invalid, not
+        read-write for a write, or has a fetch in flight."""
+        region = self.region(region_id)
+        region.check_run(first, n)  # DsmError outside the region
+        states, end = region.states, first + n
+        for unusable in (INVALID, READ_ONLY) if write else (INVALID,):
+            try:
+                end = states.index(unusable, first, end)
+            except ValueError:
+                pass  # no such page in the run
         if self._pending:
             for page in range(first, end):
                 if (region_id, page) in self._pending:
@@ -304,16 +263,16 @@ class DsmNode:
 
     def _on_fetch(self, body: PageFetch) -> None:
         region = self.region(body.region)
-        first, count, tracker = body.page, body.count, region.tracker
+        first, count = body.page, body.count
         if count < 1 or (count > 1 and body.want_ownership):
             raise ProtocolFault(f"fetch of {count} pages, ownership {body.want_ownership}")
-        if INVALID in tracker.states[first : first + count]:
+        if INVALID in region.states[first : first + count]:
             raise ProtocolFault(
                 f"peer fetched pages {first}..{first + count - 1} of region "
                 f"{body.region}, one of which is invalid on both sides"
             )
         # DsmError past the region's end, before anything is sent
-        tracker.set_range(first, count, INVALID if body.want_ownership else READ_ONLY)
+        region.set_range(first, count, INVALID if body.want_ownership else READ_ONLY)
         self.send(PageData(body.region, first, region.store.run(first, count)))
 
     def _install(self, body, state: PageState) -> None:
@@ -325,7 +284,7 @@ class DsmNode:
         count, rest = divmod(len(src), PAGE_SIZE)
         if rest or not count:
             raise ProtocolFault(f"a run of {len(src)} bytes is not whole pages")
-        region.tracker.set_range(body.page, count, state)
+        region.set_range(body.page, count, state)
         pos = 0
         for view in region.store.run(body.page, count):
             view[:] = src[pos : pos + len(view)]
@@ -346,14 +305,14 @@ class DsmNode:
             wake()
 
     def _on_invalidate(self, body: PageInvalidate) -> None:
-        tracker = self.region(body.region).tracker
+        region = self.region(body.region)
         if body.count < 1 or body.count > 1 and self.side == self.SERVER:
             raise ProtocolFault(f"invalidate of {body.count} pages at the {self.side}")
-        if self.side == self.SERVER and tracker.get(body.page) == READ_WRITE:
+        if self.side == self.SERVER and region.get(body.page) == READ_WRITE:
             # Crossed ownership claims: the server is the serialization
             # point and wins; the client's claim is void.
             return
-        tracker.set_range(body.page, body.count, INVALID)
+        region.set_range(body.page, body.count, INVALID)
 
     def _on_batch(self, body: PageUpdateBatch) -> None:
         # Pushed updates come from the serialization point: they install
@@ -380,7 +339,7 @@ class DsmNode:
         count = (offset + length - 1) // PAGE_SIZE + 1 - first
         invalidate = region.policy == Policy.INVALIDATE
         state = READ_WRITE if invalidate else READ_ONLY
-        region.tracker.set_range(first, count, state)  # DsmError outside the region
+        region.set_range(first, count, state)  # DsmError outside the region
         if invalidate:
             self.stats["invalidates_sent"] += 1
             self.send(PageInvalidate(region_id, first, count))

@@ -11,6 +11,11 @@ PAGE_SIZE = 4096
 _ZERO_PAGE = memoryview(bytes(PAGE_SIZE))  # unmaterialized chunks read as zeros
 
 
+def pages_for(length: int) -> int:
+    """The number of pages that ``length`` bytes occupy."""
+    return (length + PAGE_SIZE - 1) // PAGE_SIZE
+
+
 class ByteArena:
     """Byte-addressable memory as one chunk per 4 KB page: a page of its
     own, or a view of a mapped region's buffer."""
@@ -23,7 +28,7 @@ class ByteArena:
         pages there become views of it, so both see the same bytes."""
         if base % PAGE_SIZE:
             raise ValueError("a mapping starts on a page boundary")
-        buf = bytearray(-(-length // PAGE_SIZE) * PAGE_SIZE)
+        buf = bytearray(pages_for(length) * PAGE_SIZE)
         view, first = memoryview(buf), base // PAGE_SIZE
         for off in range(0, len(buf), PAGE_SIZE):
             self._chunks[first + off // PAGE_SIZE] = view[off : off + PAGE_SIZE]
@@ -32,7 +37,7 @@ class ByteArena:
     def unmap(self, base: int, length: int) -> None:
         """Drop the pages of ``map(base, length)``; they read as zeros again."""
         first = base // PAGE_SIZE
-        for index in range(first, first + -(-length // PAGE_SIZE)):
+        for index in range(first, first + pages_for(length)):
             self._chunks.pop(index, None)
 
     def read(self, addr: int, length: int) -> bytes:

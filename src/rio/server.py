@@ -35,7 +35,7 @@ from .devices import (
 )
 from .errors import OpAborted, SessionClosed
 from .kernel import Cancelled, Kernel, Lock
-from .memory import PAGE_SIZE
+from .memory import PAGE_SIZE, pages_for
 from .wire import (
     CopyDir,
     CopyRequest,
@@ -145,13 +145,6 @@ class _DescEntry:
     lock: Lock
 
 
-@dataclass
-class _RegionRec:
-    region_id: int
-    desc_id: int
-    ref: RegionRef
-
-
 class ServerSession(Peer):
     def __init__(self, server: Server, session_id: int, endpoint: Endpoint) -> None:
         super().__init__(session_id, endpoint,
@@ -166,7 +159,7 @@ class ServerSession(Peer):
         self.kernel = server.kernel
         self.config = server.config
         self.descs: dict[int, _DescEntry] = {}
-        self.regions: dict[int, _RegionRec] = {}
+        self.regions: dict[int, RegionRef] = {}
         self.live_ops: dict[int, ServerMemoryContext] = {}
         self.workers: dict = {}  # insertion-ordered set of live worker tasks
         self.last_heartbeat = self.kernel.now()
@@ -287,8 +280,7 @@ class ServerSession(Peer):
         result = await entry.device.mmap(entry.desc, req.length, req.offset, mem)
         if result < 0:
             return result
-        npages = dsmmod.pages_for(req.length)
-        if len(mem.mapped) != npages:
+        if len(mem.mapped) != pages_for(req.length):
             return -EINVAL
         pieces: list[list] = []  # [buffer, start, end]: a buffer's consecutive pages
         for i, (buf, off, target_off) in enumerate(sorted(mem.mapped, key=lambda m: m[2])):
@@ -301,33 +293,32 @@ class ServerSession(Peer):
         store = dsmmod.ViewStore(memoryview(buf)[start:end] for buf, start, end in pieces)
         region_id = self._region_id
         self._region_id += 1
-        region = dsmmod.make_region(region_id, req.length, store, self.config.dma_policy,
-                                    dsmmod.PageState.READ_WRITE)
-        self.dsm.register_region(region)
-        ref = RegionRef(region_id, req.length, None, self)
-        self.regions[region_id] = _RegionRec(region_id, entry.desc.desc_id, ref)
+        self.dsm.register_region(dsmmod.Region(region_id, req.length, store,
+                                               self.config.dma_policy, dsmmod.READ_WRITE))
+        ref = self.regions[region_id] = RegionRef(region_id, entry.desc.desc_id, req.length,
+                                                  None, self)
         entry.device.region_attached(entry.desc, ref)
         return region_id
 
     async def _run_close_map(self, entry: _DescEntry, req: FileOpRequest,
                              mem: ServerMemoryContext) -> int:
-        rec = self.regions.get(req.region)
-        if rec is None:
+        ref = self.regions.get(req.region)
+        if ref is None:
             return -EINVAL
-        await self._drop_region(rec)
+        await self._drop_region(ref)
         return 0
 
-    async def _drop_region(self, rec: _RegionRec) -> None:
-        entry = self.descs.get(rec.desc_id)
+    async def _drop_region(self, ref: RegionRef) -> None:
+        entry = self.descs.get(ref.desc_id)
         if entry is not None:
-            await entry.device.close_map(entry.desc, rec.ref)
-        self.dsm.drop_region(rec.region_id)
-        self.regions.pop(rec.region_id, None)
+            await entry.device.close_map(entry.desc, ref)
+        self.dsm.drop_region(ref.region_id)
+        self.regions.pop(ref.region_id, None)
 
     async def _release_descriptor(self, entry: _DescEntry, req: FileOpRequest,
                                   mem: ServerMemoryContext) -> int:
-        for rec in [r for r in self.regions.values() if r.desc_id == entry.desc.desc_id]:
-            await self._drop_region(rec)
+        for ref in [r for r in self.regions.values() if r.desc_id == entry.desc.desc_id]:
+            await self._drop_region(ref)
         await entry.device.release(entry.desc)
         self.descs.pop(entry.desc.desc_id, None)
         return 0
@@ -362,13 +353,11 @@ class ServerSession(Peer):
         region_id = dsmmod.GBUF_REGION_BASE | buffer_id
         if region_id in self.dsm.regions:
             raise dsmmod.DsmError(f"global buffer {buffer_id} already exists")
-        buf = bytearray(dsmmod.pages_for(size) * PAGE_SIZE)
-        region = dsmmod.make_region(region_id, size, dsmmod.ViewStore.of_buffer(buf),
-                                    self.config.dma_policy,
-                                    dsmmod.PageState.INVALID)  # the client allocated it
-        self.dsm.register_region(region)
-        ref = RegionRef(region_id, size, buf, self)
-        self.regions[region_id] = _RegionRec(region_id, desc_id, ref)
+        buf = bytearray(pages_for(size) * PAGE_SIZE)
+        self.dsm.register_region(dsmmod.Region(region_id, size, dsmmod.ViewStore([buf]),
+                                               self.config.dma_policy,
+                                               dsmmod.INVALID))  # the client allocated it
+        ref = self.regions[region_id] = RegionRef(region_id, desc_id, size, buf, self)
         return ref
 
     def _dma_complete(self, region_id: int, offset: int, length: int) -> None:
@@ -403,11 +392,11 @@ class ServerSession(Peer):
 
     async def _cleanup_devices(self) -> None:
         # Mapped areas first, then descriptors, mirroring process teardown.
-        for rec in list(self.regions.values()):
+        for ref in list(self.regions.values()):
             try:
-                await self._drop_region(rec)
+                await self._drop_region(ref)
             except Exception:
-                log.exception("dropping region %d during cleanup failed", rec.region_id)
+                log.exception("dropping region %d during cleanup failed", ref.region_id)
         self.regions.clear()
         for entry in list(self.descs.values()):
             try:

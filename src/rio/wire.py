@@ -24,15 +24,16 @@ fields to check.  ``encode_body`` and ``decode_body`` serve every row; a
 payload decodes exactly, every byte accounted for, or raises
 ``ProtocolError``.
 
-Copies: a frame's bytes are copied once into the frame, by the one join
-or concatenation in ``encode_frame``.  A run of pushed or fetched pages is
-sent as a tuple of its parts (the head, then a view of each piece of
-storage it spans, a device buffer being one), which ``encode_frame`` joins
-with the header, so a page goes from the device buffer into the frame in
-that one copy.  The payload of a ``bytes`` frame (``SimulatedLink``) stays
-a view of it; ``decode_frame`` copies it out of any other buffer, since
-``Framer`` reuses its own.  A decoded run of pages is one view of the
-payload until the receiver installs it, one copy per piece of its storage.
+Copies: a frame's bytes are copied once into the frame, by the one join or
+concatenation in ``encode_frame``.  A run of pushed or fetched pages is
+sent as a tuple of its parts (the head, then ``ViewStore.run``'s view of
+each device buffer or other piece of storage it spans), which
+``encode_frame`` joins with the header, so a page goes from the device
+buffer into the frame in that one copy.  The payload of a ``bytes`` frame
+(``SimulatedLink``) stays a view of it; ``decode_frame`` copies it out of
+any other buffer, since ``Framer`` reuses its own.  A decoded run of pages
+is one view of the payload until installed in its ``Region``, one copy per
+piece of storage.
 
 Sessions: ``Peer`` is the session core of both stubs.  It numbers the
 frames it sends per channel, derives the kind and channel of each body it

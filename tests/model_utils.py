@@ -25,9 +25,9 @@ from rio.dsm import (
     PageState,
     Policy,
     ProtocolFault,
+    Region,
     ViewStore,
     _Pending,
-    make_region,
 )
 from rio.kernel import Future, SimKernel
 from rio.memory import PAGE_SIZE
@@ -111,9 +111,9 @@ class ModelWorld:
                               coalesce_fetch_own=not naive),
         }
         length = self.NPAGES * PAGE_SIZE
-        self.nodes["client"].register_region(make_region(
+        self.nodes["client"].register_region(Region(
             1, length, self.stores["client"], policy, INV))
-        self.nodes["server"].register_region(make_region(
+        self.nodes["server"].register_region(Region(
             1, length, self.stores["server"], policy, RW))
 
     # -- state key ---------------------------------------------------------
@@ -132,8 +132,8 @@ class ModelWorld:
 
     def _node_key(self, side: str) -> tuple:
         node = self.nodes[side]
-        return (tuple(node.region(1).tracker.states), tuple(self.stores[side].tags),
-                tuple(sorted((k[1], v.write, v.want_ownership, v.first, v.count)
+        return (tuple(node.region(1).states), tuple(self.stores[side].tags),
+                tuple(sorted((k[1], v.want_ownership, v.first, v.count)
                              for k, v in node._pending.items())))
 
     def key(self) -> tuple:
@@ -159,11 +159,11 @@ class ModelWorld:
             fresh.stores[side].buf[:] = self.stores[side].buf
             src = self.nodes[side].region(1)
             dst = fresh.nodes[side].region(1)
-            dst.tracker.states[:] = src.tracker.states
+            dst.states[:] = src.states
             runs: dict[int, _Pending] = {}  # one shared record per run, as in the node
             for k, v in self.nodes[side]._pending.items():
                 if id(v) not in runs:
-                    runs[id(v)] = _Pending(v.write, v.want_ownership, v.first, v.count,
+                    runs[id(v)] = _Pending(v.want_ownership, v.first, v.count,
                                            waiters=[fresh._waker(side)])
                 fresh.nodes[side]._pending[k] = runs[id(v)]
         return fresh
@@ -261,8 +261,8 @@ class ModelWorld:
     # -- invariants -----------------------------------------------------------
 
     def states(self, page: int) -> tuple:
-        return (self.nodes["client"].region(1).tracker.get(page),
-                self.nodes["server"].region(1).tracker.get(page))
+        return (self.nodes["client"].region(1).get(page),
+                self.nodes["server"].region(1).get(page))
 
     def check_always(self) -> Optional[str]:
         if self.fault:
@@ -371,7 +371,7 @@ class _WireNode:
         self.store = TagStore(npages)
         length = npages * PAGE_SIZE
         initial = INV if side == "client" else RW
-        self.node.register_region(make_region(1, length, self.store, policy, initial))
+        self.node.register_region(Region(1, length, self.store, policy, initial))
         endpoint.on_message = self._recv
 
     def _send(self, body) -> None:
@@ -480,8 +480,8 @@ def run_coordinated_trace(seed: int) -> None:
     kernel.run_until_idle()
 
     for page in range(npages):
-        c_state = sides["client"].node.region(1).tracker.get(page)
-        s_state = sides["server"].node.region(1).tracker.get(page)
+        c_state = sides["client"].node.region(1).get(page)
+        s_state = sides["server"].node.region(1).get(page)
         assert not (c_state == RW and s_state == RW), f"two writers on {page} (seed {seed})"
         want = _tag_page(expected[page]) if page in expected else bytes(PAGE_SIZE)
         readable = []
@@ -531,8 +531,8 @@ def run_uncoordinated_trace(seed: int) -> None:
     kernel.run(main())
     kernel.run_until_idle()
     for page in range(npages):
-        c_state = sides["client"].node.region(1).tracker.get(page)
-        s_state = sides["server"].node.region(1).tracker.get(page)
+        c_state = sides["client"].node.region(1).get(page)
+        s_state = sides["server"].node.region(1).get(page)
         assert not (c_state == RW and s_state == RW), f"two writers (seed {seed})"
         if c_state == RO and s_state == RO:
             assert (sides["client"].store.page(page)

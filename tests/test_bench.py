@@ -95,7 +95,7 @@ def test_link_presets_expose_median_and_average_latencies():
 def test_scenario_bundles_are_deterministic():
     from rio.bench import Scenario
     scenario = Scenario("sensor", "lan", seed=5, params={"n_samples": 100})
-    assert scenario.to_csv() == scenario.to_csv()
+    assert rows_to_csv(scenario.run()) == rows_to_csv(scenario.run())
     with pytest.raises(ValueError):
         Scenario("warp").run()
 

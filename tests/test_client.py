@@ -274,7 +274,7 @@ def test_mmap_three_vga_buffers_450_invalid_pages():
     async def main():
         handle, region = await _setup_frames(world)()
         client_region = world.session.dsm.region(region.region_id)
-        states = {client_region.tracker.get(i) for i in range(region.npages)}
+        states = {client_region.get(i) for i in range(region.npages)}
         return region.npages, states
 
     npages, states = world.run(main())
@@ -349,7 +349,7 @@ def test_global_buffer_readthrough_after_capture():
             gbuf.region_id)
         assert server_region.npages == 150
         client_region = world.session.dsm.region(gbuf.region_id)
-        assert client_region.tracker.get(0) == PageState.READ_WRITE
+        assert client_region.get(0) == PageState.READ_WRITE
         assert await handle.ioctl(FRAME_CAPTURE, 7) == 0
         data = await gbuf.page_read(gbuf.base, 614_400)
         return data
@@ -509,6 +509,22 @@ def test_close_after_fallback_releases_the_local_descriptor():
     samples = desc.seq
     world.advance(1000.0)
     assert desc.seq == samples  # a released sensor produces nothing more
+
+
+def test_close_of_a_mapped_handle_ends_closed_when_the_link_dies_during_it():
+    world = SimWorld(link="lan", dsm_policy=Policy.INVALIDATE)
+
+    async def main():
+        handle, region = await _setup_frames(world)()
+        world.cut_link()
+        await handle.close()  # its unmap waits until the disconnect is declared
+        return handle, region
+
+    handle, region = world.run(main())
+    assert not world.session.live
+    assert handle.state is HandleState.CLOSED
+    assert handle not in world.session.handles
+    assert not handle.regions and region.region_id not in world.session.dsm.regions
 
 
 def test_closed_handles_leave_the_session():
@@ -699,18 +715,44 @@ def test_update_push_carries_the_frame_as_it_was_at_dma_time():
     assert got == frame_pattern(0, 614_400)
 
 
+def _page_spans(region, addr, length):
+    """(page, address, length) of each page's part of ``[addr, addr + length)``."""
+    pos, end = addr, addr + length
+    while pos < end:
+        page = (pos - region.base) // PAGE_SIZE
+        take = min(end, region.base + (page + 1) * PAGE_SIZE) - pos
+        yield page, pos, take
+        pos += take
+
+
 async def _per_page_read(region, addr, length):
-    """The reference read: each page through ``ensure_page``, then read alone."""
+    """The reference read: each page acquired on its own, then read alone."""
     session = region.session
     parts = []
-    for page, pos, take in region._page_slices(addr, length):
-        await session.ensure_page(region.region_id, page, write=False)
+    for page, pos, take in _page_spans(region, addr, length):
+        await session._acquire_page(region.region_id, page, False)
         parts.append(session.client.arena.read(pos, take))
     return b"".join(parts)
 
 
 async def _page_read(region, addr, length):
     return await region.page_read(addr, length)
+
+
+MIXED_WRITE = bytes((7 * i + 3) & 0xFF for i in range(6 * PAGE_SIZE))
+
+
+async def _per_page_write(region, addr, length):
+    """The reference write: each page acquired for writing on its own, then
+    written alone through the arena."""
+    session, data = region.session, MIXED_WRITE[:length]
+    for page, pos, take in _page_spans(region, addr, length):
+        await session._acquire_page(region.region_id, page, True)
+        session.client.arena.write(pos, data[pos - addr : pos - addr + take])
+
+
+async def _page_write(region, addr, length):
+    await region.page_write(addr, MIXED_WRITE[:length])
 
 
 async def _mixed_invalidate_region(world):
@@ -734,16 +776,18 @@ async def _mixed_push_region(world):
     handle, region = await _setup_frames(world)()
     world.kernel.spawn(handle.ioctl(FRAME_DQ))
     world.kernel.spawn(region.page_read(region.base + 5 * PAGE_SIZE, 8))
-    tracker = world.session.dsm.region(region.region_id).tracker
-    while tracker.states[5] != PageState.READ_ONLY:
+    states = world.session.dsm.region(region.region_id).states
+    while states[5] != PageState.READ_ONLY:
         await world.kernel.sleep(0.1)
     return region, [PageState.READ_ONLY] * 7
 
 
-def _read_over_mixed_pages(policy, prepare, reader):
-    """Read from mid page 0 to mid page 6 of the region ``prepare`` sets up.
-    Returns the bytes, when the read finished, every coherence body either
-    side sent during it, and the client's page states after it."""
+def _over_mixed_pages(policy, prepare, access):
+    """Run ``access(region, addr, length)`` from mid page 0 to mid page 6 of
+    the region ``prepare`` sets up.  Returns what it returned, when it
+    finished, every coherence body either side sent during it, the client's
+    page states then, the server's once what it sent has arrived, and the
+    client's bytes of the pages."""
     world = SimWorld(link="lan", dsm_policy=policy)
     sent = []
 
@@ -759,13 +803,17 @@ def _read_over_mixed_pages(policy, prepare, reader):
     async def main():
         region, states = await prepare(world)
         dsm = world.session.dsm
-        tracker = dsm.region(region.region_id).tracker
-        assert tracker.states[:7] == states
+        client_states = dsm.region(region.region_id).states
+        assert client_states[:7] == states
         assert set(dsm._pending) == {(region.region_id, 5)}
+        server_dsm = next(iter(world.server.sessions.values())).dsm
         record(dsm)
-        record(next(iter(world.server.sessions.values())).dsm)
-        got = await reader(region, region.base + 100, 6 * PAGE_SIZE)
-        return got, world.now(), sent, tracker.states[:7]
+        record(server_dsm)
+        got = await access(region, region.base + 100, 6 * PAGE_SIZE)
+        done, done_states = world.now(), client_states[:7]
+        await world.kernel.sleep(50)
+        return (got, done, sent, done_states, server_dsm.region(region.region_id).states[:7],
+                bytes(region.view[: 7 * PAGE_SIZE]))
 
     return world.run(main())
 
@@ -775,15 +823,35 @@ def _read_over_mixed_pages(policy, prepare, reader):
     pytest.param(Policy.UPDATE_PUSH, _mixed_push_region, [], id="update_push"),
 ])
 def test_page_read_by_runs_matches_the_per_page_reference(policy, prepare, fetched):
-    result = _read_over_mixed_pages(policy, prepare, _page_read)
-    got, _, sent, _ = result
+    result = _over_mixed_pages(policy, prepare, _page_read)
+    got, _, sent, _, _, _ = result
     want = bytearray(frame_pattern(0, 614_400)[: 7 * PAGE_SIZE])
     if policy == Policy.INVALIDATE:
         want[3 * PAGE_SIZE + 10 : 3 * PAGE_SIZE + 12] = b"rw"
     assert got == bytes(want[100 : 100 + 6 * PAGE_SIZE])
     assert [page for side, _, kind, page, _ in sent
             if side == "client" and kind == "PageFetch"] == fetched
-    assert result == _read_over_mixed_pages(policy, prepare, _per_page_read)
+    assert result == _over_mixed_pages(policy, prepare, _per_page_read)
+
+
+@pytest.mark.parametrize("policy,prepare,claims", [
+    pytest.param(Policy.INVALIDATE, _mixed_invalidate_region,
+                 [("PageFetch", 0), ("PageInvalidate", 1), ("PageInvalidate", 2),
+                  ("PageFetch", 4), ("PageInvalidate", 5), ("PageFetch", 6)],
+                 id="invalidate"),
+    pytest.param(Policy.UPDATE_PUSH, _mixed_push_region,
+                 [("PageInvalidate", page) for page in range(7)], id="update_push"),
+])
+def test_page_write_by_runs_matches_the_per_page_reference(policy, prepare, claims):
+    result = _over_mixed_pages(policy, prepare, _page_write)
+    _, _, sent, client_states, server_states, written = result
+    want = bytearray(frame_pattern(0, 614_400)[: 7 * PAGE_SIZE])
+    want[100 : 100 + 6 * PAGE_SIZE] = MIXED_WRITE
+    assert written == want
+    assert [(kind, page) for side, _, kind, page, _ in sent if side == "client"] == claims
+    assert client_states == [PageState.READ_WRITE] * 7
+    assert server_states == [PageState.INVALID] * 7
+    assert result == _over_mixed_pages(policy, prepare, _per_page_write)
 
 
 @pytest.mark.parametrize("link,width,height,policy", [

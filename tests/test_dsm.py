@@ -9,11 +9,10 @@ from rio.dsm import (
     DsmError,
     DsmNode,
     PageState,
-    PageTracker,
     Policy,
     ProtocolFault,
+    Region,
     ViewStore,
-    make_region,
     pages_for,
 )
 from rio.memory import PAGE_SIZE
@@ -36,10 +35,10 @@ class Pair:
         self.client_buf = bytearray(npages * PAGE_SIZE)
         self.server_buf = bytearray(npages * PAGE_SIZE)
         length = npages * PAGE_SIZE
-        self.client.register_region(make_region(
-            1, length, ViewStore.of_buffer(self.client_buf), policy, client_init))
-        self.server.register_region(make_region(
-            1, length, ViewStore.of_buffer(self.server_buf), policy, server_init))
+        self.client.register_region(Region(
+            1, length, ViewStore([self.client_buf]), policy, client_init))
+        self.server.register_region(Region(
+            1, length, ViewStore([self.server_buf]), policy, server_init))
 
     def node(self, side):
         return self.client if side == "client" else self.server
@@ -66,8 +65,8 @@ class Pair:
         return True
 
     def states(self, page):
-        return (self.client.region(1).tracker.get(page),
-                self.server.region(1).tracker.get(page))
+        return (self.client.region(1).get(page),
+                self.server.region(1).get(page))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def test_fetch_on_read_write_replies_and_demotes():
     pair = Pair()
     pair.server_buf[: PAGE_SIZE] = bytes([7]) * PAGE_SIZE
     pair.server.handle(dsmmod.PageFetch(1, 0, False))
-    assert pair.server.region(1).tracker.get(0) == RO
+    assert pair.server.region(1).get(0) == RO
     reply = pair.to_client.popleft()
     assert isinstance(reply, dsmmod.PageData)
     assert reply.data == [bytes([7]) * PAGE_SIZE]
@@ -175,14 +174,14 @@ def test_a_read_fetches_its_whole_run_in_one_exchange_and_a_run_past_the_region_
     (reply,) = pair.to_client
     assert (reply.page, len(b"".join(reply.data))) == (0, npages * PAGE_SIZE)
     pair.pump()
-    assert pair.client.readable_run(1, 0, npages) == npages
+    assert pair.client.usable_run(1, 0, npages) == npages
     assert pair.client_buf == pair.server_buf
     # A run that goes past the region's end changes nothing and sends nothing.
-    before = list(pair.server.region(1).tracker.states)
+    before = list(pair.server.region(1).states)
     for first, count in [(0, npages + 1), (npages - 1, 2), (npages, 1)]:
         with pytest.raises(ProtocolFault):
             pair.server.handle(dsmmod.PageFetch(1, first, False, count))
-    assert list(pair.server.region(1).tracker.states) == before
+    assert list(pair.server.region(1).states) == before
     assert not pair.to_client
 
 
@@ -191,11 +190,11 @@ def test_a_read_fetches_its_whole_run_in_one_exchange_and_a_run_past_the_region_
 def test_data_that_is_not_the_run_in_flight_is_a_fault_that_installs_nothing(first, npages):
     pair = Pair(npages=5)
     assert not pair.client.access(1, 0, False, npages=3)
-    before = (list(pair.client.region(1).tracker.states), bytes(pair.client_buf))
+    before = (list(pair.client.region(1).states), bytes(pair.client_buf))
     body = dsmmod.PageData(1, first, [bytes([9]) * PAGE_SIZE] * npages)
     with pytest.raises(ProtocolFault):
         pair.client.handle(body)
-    assert (list(pair.client.region(1).tracker.states), bytes(pair.client_buf)) == before
+    assert (list(pair.client.region(1).states), bytes(pair.client_buf)) == before
     assert pair.client.stats["installs"] == 0
 
 
@@ -209,10 +208,10 @@ def test_a_run_no_peer_sends_this_side_is_a_fault_that_changes_nothing(side, bod
     # Only the server pushes, a client claims one page, and a run has pages.
     pair = Pair(client_init=RO, server_init=RO)
     node = pair.node(side)
-    before = (list(node.region(1).tracker.states), bytes(pair.client_buf), bytes(pair.server_buf))
+    before = (list(node.region(1).states), bytes(pair.client_buf), bytes(pair.server_buf))
     with pytest.raises(ProtocolFault):
         node.handle(body)
-    assert (list(node.region(1).tracker.states), bytes(pair.client_buf),
+    assert (list(node.region(1).states), bytes(pair.client_buf),
             bytes(pair.server_buf)) == before
     assert node.stats["installs"] == 0
 
@@ -225,10 +224,10 @@ def test_a_run_that_is_not_whole_pages_is_a_fault_that_writes_nothing(kind, data
     # Bodies built without the decoder (models, tests) reach the node as they are.
     pair = Pair(npages=3)
     assert not pair.client.access(1, 0, False, npages=1)
-    before = (list(pair.client.region(1).tracker.states), bytes(pair.client_buf))
+    before = (list(pair.client.region(1).states), bytes(pair.client_buf))
     with pytest.raises(ProtocolFault):
         pair.client.handle(kind(1, 0, data))
-    assert (list(pair.client.region(1).tracker.states), bytes(pair.client_buf)) == before
+    assert (list(pair.client.region(1).states), bytes(pair.client_buf)) == before
     assert pair.client.stats["installs"] == 0
 
 
@@ -243,23 +242,23 @@ def test_a_run_across_store_pieces_is_served_and_installed_whole(split):
     sent = []
     server = DsmNode(DsmNode.SERVER, sent.append)
     server_bufs = [bytearray(_pages(0, 3)), bytearray(_pages(3, 2))]
-    server.register_region(make_region(1, 5 * PAGE_SIZE, ViewStore(server_bufs),
-                                       Policy.INVALIDATE, RW))
+    server.register_region(Region(1, 5 * PAGE_SIZE, ViewStore(server_bufs),
+                                  Policy.INVALIDATE, RW))
     server.handle(dsmmod.PageFetch(1, 1, False, 4))
     (reply,) = sent
     assert [len(view) for view in reply.data] == [2 * PAGE_SIZE, 2 * PAGE_SIZE]
     assert b"".join(reply.data) == _pages(1, 4)
-    assert server.region(1).tracker.states == [RW] + [RO] * 4
+    assert server.region(1).states == [RW] + [RO] * 4
 
     client = DsmNode(DsmNode.CLIENT, sent.append)
     client_bufs = [bytearray(2 * PAGE_SIZE), bytearray(3 * PAGE_SIZE)]
-    client.register_region(make_region(1, 5 * PAGE_SIZE, ViewStore(client_bufs),
-                                       Policy.INVALIDATE, INV))
+    client.register_region(Region(1, 5 * PAGE_SIZE, ViewStore(client_bufs),
+                                  Policy.INVALIDATE, INV))
     assert not client.access(1, 1, False, npages=4)
     edges = [1, *(1 + sum(split[: i + 1]) for i in range(len(split)))]
     client.handle(dsmmod.PageData(1, 1, [_pages(a, b - a) for a, b in zip(edges, edges[1:])]))
     assert b"".join(client_bufs) == bytes(PAGE_SIZE) + _pages(1, 4)
-    assert client.region(1).tracker.states == [INV] + [RO] * 4
+    assert client.region(1).states == [INV] + [RO] * 4
     assert client.stats["installs"] == 4 and client.quiescent()
 
 
@@ -277,7 +276,7 @@ def test_update_batch_installs_all_pages_read_only():
     pair.client.handle(dsmmod.PageUpdateBatch(1, 0, pages))
     assert pair.client.stats["installs"] == 150
     for i in range(npages):
-        assert pair.client.region(1).tracker.get(i) == RO
+        assert pair.client.region(1).get(i) == RO
     assert pair.client_buf[4096 * 3 : 4096 * 3 + 2] == bytes([3, 3])
 
 
@@ -298,7 +297,7 @@ def test_dma_update_push_batches_whole_photo_buffer():
     assert (batch.page, len(b"".join(batch.data))) == (0, 1954 * PAGE_SIZE)
     pair.pump()
     assert pair.states(0) == (RO, RO)
-    assert pair.server.region(1).tracker.get(0) == RO
+    assert pair.server.region(1).get(0) == RO
 
 
 def test_dma_invalidate_coalesces_one_message():
@@ -310,7 +309,7 @@ def test_dma_invalidate_coalesces_one_message():
     assert inv == dsmmod.PageInvalidate(1, 0, 150)
     pair.pump()
     assert pair.states(0) == (INV, RW)
-    assert pair.server.region(1).tracker.get(0) == RW
+    assert pair.server.region(1).get(0) == RW
     # A subsequent client read fetches the DMA bytes.
     pair.server_buf[0:2] = b"ZZ"
     pair.access("client", 0, False)
@@ -329,27 +328,31 @@ def test_dma_empty_region_sends_nothing():
 # ---------------------------------------------------------------------------
 
 
+def _region(npages, state):
+    return Region(1, npages * PAGE_SIZE, ViewStore([bytearray(npages * PAGE_SIZE)]),
+                  Policy.INVALIDATE, state)
+
+
 def test_tracker_rejects_pages_outside_the_region_at_either_end():
     npages = 512 + 3
-    tracker = PageTracker(npages, RW)
+    region = _region(npages, RW)
     for page in (-1, -npages, npages, npages + 512):
-        for call in (lambda: tracker.get(page), lambda: tracker.set(page, RO),
-                     lambda: tracker.set_range(page, 1, RO)):
+        for call in (lambda: region.get(page), lambda: region.set_range(page, 1, RO)):
             with pytest.raises(DsmError):
                 call()
     with pytest.raises(DsmError):
-        tracker.set_range(npages - 1, 2, RO)
-    assert tracker.states == [RW] * npages
+        region.set_range(npages - 1, 2, RO)
+    assert region.states == [RW] * npages
 
 
 # (entry point, page, extra arguments): one page before the region, one
 # past its end, and a run that starts inside and ends past it.
 OUTSIDE_CALLS = [
     (entry, page, extra)
-    for entry, extra in (("access", (False,)), ("access", (True,)), ("ready", (False,)),
-                         ("readable_run", (1,)))
+    for entry, extra in (("access", (False,)), ("access", (True,)), ("usable_run", (1, True)),
+                         ("usable_run", (1,)))
     for page in (-1, 4)
-] + [("readable_run", 3, (2,)), ("readable_run", 0, (5,))]
+] + [("usable_run", 3, (2,)), ("usable_run", 0, (5,))]
 
 
 @pytest.mark.parametrize("entry,page,extra", OUTSIDE_CALLS,
@@ -359,10 +362,10 @@ def test_entry_points_reject_pages_outside_the_region(entry, page, extra):
     assert not pair.client.access(1, 1, False, npages=2)  # a run in flight
     (fetch,) = pair.to_server
     pending = dict(pair.client._pending)
-    states = list(pair.client.region(1).tracker.states)
+    states = list(pair.client.region(1).states)
     with pytest.raises(DsmError):
         getattr(pair.client, entry)(1, page, *extra)
-    assert pair.client.region(1).tracker.states == states
+    assert pair.client.region(1).states == states
     assert pair.client._pending == pending
     assert list(pair.to_server) == [fetch]
 
@@ -374,8 +377,7 @@ def test_entry_points_reject_pages_outside_the_region(entry, page, extra):
 
 def test_duplicate_region_id_rejected():
     node = DsmNode(DsmNode.CLIENT, lambda m: None)
-    region = make_region(5, PAGE_SIZE, ViewStore.of_buffer(bytearray(PAGE_SIZE)),
-                         Policy.INVALIDATE, INV)
+    region = Region(5, PAGE_SIZE, ViewStore([bytearray(PAGE_SIZE)]), Policy.INVALIDATE, INV)
     node.register_region(region)
     with pytest.raises(DsmError):
         node.register_region(region)
@@ -406,13 +408,13 @@ def per_page_dma_complete(node, region_id, offset, length):
     pages = list(range(offset // PAGE_SIZE, (offset + length - 1) // PAGE_SIZE + 1))
     if region.policy == Policy.INVALIDATE:
         for page in pages:
-            region.tracker.set(page, RW)
+            region.set_range(page, 1, RW)
         node.stats["invalidates_sent"] += 1
         node.send(dsmmod.PageInvalidate(region_id, pages[0], len(pages)))
     else:
         data = [region.store.run(page, 1)[0] for page in pages]
         for page in pages:
-            region.tracker.set(page, RO)
+            region.set_range(page, 1, RO)
         node.stats["pushes"] += 1
         node.send(dsmmod.PageUpdateBatch(region_id, pages[0], data))
     return len(pages)
@@ -423,7 +425,7 @@ def per_page_on_batch(node, body):
     run = b"".join(body.data)
     for page, pos in enumerate(range(0, len(run), PAGE_SIZE), body.page):
         region.store.run(page, 1)[0][:] = run[pos : pos + PAGE_SIZE]
-        region.tracker.set(page, RO)
+        region.set_range(page, 1, RO)
         node.stats["installs"] += 1
 
 
@@ -434,16 +436,16 @@ def _scattered_node(side, policy, npages, sent):
     if side == DsmNode.SERVER:
         for page in range(npages):
             buf[page * PAGE_SIZE : page * PAGE_SIZE + 4] = page.to_bytes(4, "little")
-    region = make_region(1, len(buf), ViewStore.of_buffer(buf), policy, INV)
+    region = Region(1, len(buf), ViewStore([buf]), policy, INV)
     for page in range(npages):
-        region.tracker.set(page, (RW, RO, INV)[page * 7 % 3])
+        region.set_range(page, 1, (RW, RO, INV)[page * 7 % 3])
     node.register_region(region)
     return node, buf
 
 
 def _node_state(node):
     region = node.region(1)
-    return (list(region.tracker.states), node.stats)
+    return (list(region.states), node.stats)
 
 
 DMA_RANGES = [
@@ -485,10 +487,10 @@ def test_dma_range_transitions_equal_per_page_path(policy):
 
 
 def test_set_range_rejects_pages_outside_region():
-    tracker = PageTracker(10, RW)
+    region = _region(10, RW)
     with pytest.raises(DsmError):
-        tracker.set_range(8, 3, RO)
-    assert tracker.states == [RW] * 10
+        region.set_range(8, 3, RO)
+    assert region.states == [RW] * 10
 
 
 def test_pushed_batch_installs_pages_a_crossed_local_claim_took():
@@ -499,7 +501,7 @@ def test_pushed_batch_installs_pages_a_crossed_local_claim_took():
     pair.server.dma_complete(1, 0, 3 * PAGE_SIZE)
     (batch,) = pair.to_client
     pair.client.handle(batch)  # the push crosses the claim on the wire
-    tracker = pair.client.region(1).tracker
-    assert [tracker.get(p) for p in range(4)] == [RO, RO, RO, RO]
+    region = pair.client.region(1)
+    assert [region.get(p) for p in range(4)] == [RO, RO, RO, RO]
     assert pair.client_buf[PAGE_SIZE : 2 * PAGE_SIZE] == b"D" * PAGE_SIZE
     assert pair.client.stats["installs"] == 3

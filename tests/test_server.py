@@ -553,7 +553,7 @@ def test_a_foreign_coherence_frame_drops_only_the_sending_session(make_body):
     async def main():
         _, region = await _one_page_region(hostile)
         hostile_session = world.server.sessions[(link.b, hostile.session_id)]
-        server_bufs.extend(rec.ref.buf for rec in hostile_session.regions.values())
+        server_bufs.extend(ref.buf for ref in hostile_session.regions.values())
         hostile._send(make_body(region.region_id))
         await world.kernel.sleep(50)
         link.cut()  # the hostile client's later frames would open a new session
