@@ -8,6 +8,7 @@ session can open the device again.
 
 from rio.devices import POLLIN, SensorDevice
 from rio.testbed import SimWorld
+from rio.wire import HEARTBEAT_TIMEOUT_MS
 
 
 if __name__ == "__main__":
@@ -30,7 +31,7 @@ if __name__ == "__main__":
         return handle
 
     world.run(scenario())
-    world.kernel.run_until(world.now() + world.server.config.timeout_ms + 700)
+    world.kernel.run_until(world.now() + HEARTBEAT_TIMEOUT_MS + 700)
     print(f"server residuals after cleanup: {world.census()}")
 
     fresh = world.new_session()

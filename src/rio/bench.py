@@ -33,7 +33,7 @@ from .errors import DisconnectedError
 from .client import HandleState
 from .dsm import Policy
 from .testbed import SimWorld
-from .wire import LinkConfig
+from .wire import HEARTBEAT_INTERVAL_MS, HEARTBEAT_TIMEOUT_MS, LinkConfig
 
 CSV_COLUMNS = ("scenario", "param", "metric", "value", "round_trips", "bytes_on_wire")
 
@@ -321,9 +321,6 @@ def _disconnect_trial(scenario: str, link: str | LinkConfig, seed: int,
                       optimize: bool) -> tuple[bool, str]:
     world = SimWorld(link, seed=seed, optimize=optimize)
     cut_at = 30.0 + world.rng.random() * 1400.0
-    client_timeout = world.client.config.timeout_ms
-    server_timeout = world.server.config.timeout_ms
-
     if scenario == "sensor":
         world.client.register_local_fallback("sensor", SensorDevice(world.kernel, 65.0))
 
@@ -332,12 +329,12 @@ def _disconnect_trial(scenario: str, link: str | LinkConfig, seed: int,
             buf = world.client.alloc(16)
             world.cut_link(cut_at)
             reads = post_cut_reads = 0
-            horizon = cut_at + client_timeout + 1500.0
+            horizon = cut_at + HEARTBEAT_TIMEOUT_MS + 1500.0
             while world.now() < horizon or post_cut_reads < 3:
                 await handle.poll(POLLIN)
                 if await handle.read(buf, 12) == 12:
                     reads += 1
-                    if world.now() > cut_at + client_timeout + 700.0:
+                    if world.now() > cut_at + HEARTBEAT_TIMEOUT_MS + 700.0:
                         post_cut_reads += 1
                 if post_cut_reads >= 3 and world.now() >= horizon:
                     break
@@ -366,12 +363,11 @@ def _disconnect_trial(scenario: str, link: str | LinkConfig, seed: int,
             return False, "in-flight call did not error"
         if handle.state is not HandleState.FAILED:
             return False, f"state {handle.state}"
-        if when > cut_at + client_timeout + world.client.config.heartbeat_interval_ms + 100:
+        if when > cut_at + HEARTBEAT_TIMEOUT_MS + HEARTBEAT_INTERVAL_MS + 100:
             return False, f"error too late ({when - cut_at:.0f} ms after cut)"
 
     # Let the server's watchdog fire and the cleanup task drain.
-    world.kernel.run_until(cut_at + server_timeout
-                           + world.server.config.heartbeat_interval_ms + 200.0)
+    world.kernel.run_until(cut_at + HEARTBEAT_TIMEOUT_MS + HEARTBEAT_INTERVAL_MS + 200.0)
     census = world.census()
     if any(census.values()):
         return False, f"census {census}"

@@ -40,6 +40,8 @@ from .wire import (
     Endpoint,
     FileOp,
     FileOpRequest,
+    HEARTBEAT_INTERVAL_MS,
+    HEARTBEAT_TIMEOUT_MS,
     Heartbeat,
     Kind,
     Message,
@@ -182,7 +184,6 @@ class ClientSession(Peer):
         self._next_op = 1
         self._hb_sent: dict[int, float] = {}
         self._last_ack = self.kernel.now()
-        self._beats = 0
         self._hb_task = self.kernel.spawn(self._heartbeat_loop(), "hb-client")
 
     # -- inbound -----------------------------------------------------------
@@ -222,17 +223,15 @@ class ClientSession(Peer):
     # -- heartbeats ----------------------------------------------------------
 
     async def _heartbeat_loop(self) -> None:
-        interval = self.config.heartbeat_interval_ms
         try:
             while self.live:
                 now = self.kernel.now()
-                if now - self._last_ack >= self.config.timeout_ms and self._beats >= 1:
+                if now - self._last_ack >= HEARTBEAT_TIMEOUT_MS:
                     self._declare_disconnect("heartbeat timeout")
                     return
                 self._hb_sent[self._out_seq[Channel.HEARTBEAT]] = now
                 self._send(Heartbeat())
-                self._beats += 1
-                await self.kernel.sleep(interval)
+                await self.kernel.sleep(HEARTBEAT_INTERVAL_MS)
         except Cancelled:
             pass
 
@@ -300,24 +299,6 @@ class ClientSession(Peer):
         self._next_op += 1
         return op_id
 
-    # -- page access (shadow regions) -------------------------------------------------
-
-    async def _acquire_page(self, region_id: int, page: int, write: bool,
-                            npages: int = 1) -> None:
-        """Start or join the page's coherence traffic until access is granted;
-        a read of ``npages`` pages fetches the invalid run it starts."""
-        while True:
-            if not self.live:
-                raise DisconnectedError(detail="session closed")
-            fut = Future("page-wait")
-            try:
-                if self.dsm.access(region_id, page, write, fut.set_result, npages):
-                    return
-            except dsmmod.DsmError as exc:
-                raise DisconnectedError(detail=str(exc)) if not self.live else exc
-            await fut
-
-
 class MappedRegion:
     """Client-side shadow of a server buffer; access goes through coherence."""
 
@@ -333,22 +314,26 @@ class MappedRegion:
     async def _walk(self, addr: int, length: int, write: bool,
                     visit: Callable[[int, int], None]) -> None:
         """Call ``visit(lo, hi)`` on each run of the region's bytes ``[lo, hi)``,
-        from ``addr`` for ``length`` bytes, whose pages may be used now.  Every
-        page passes its own permission check: the first page that may not be
-        used starts or joins its coherence traffic (a read fetches the invalid
-        run it starts), and the walk goes on from it once it is granted."""
+        from ``addr`` for ``length`` bytes, whose pages may be used now.  Each
+        run is one ``DsmNode.access`` call; when its first page may not be
+        used, that call started or joined its coherence traffic (a read
+        fetches the invalid run it starts), and the walk goes on from that
+        page once the traffic lands."""
         lo, end = addr - self.base, addr - self.base + length
         if lo < 0 or end > len(self.view):
             raise dsmmod.DsmError("access outside mapped region")
         session, region_id = self.session, self.region_id
         last = (end - 1) // PAGE_SIZE
+        fut = Future("page-wait")
         while lo < end:
+            if not session.live:
+                raise DisconnectedError(detail="session closed")
             page = lo // PAGE_SIZE
-            n = (session.dsm.usable_run(region_id, page, last - page + 1, write)
-                 if session.live else 0)
+            n = session.dsm.access(region_id, page, write, fut.set_result, last - page + 1)
             if n == 0:
-                await session._acquire_page(region_id, page, write, last - page + 1)
-                continue  # the page may be used now: take the run it starts
+                await fut
+                fut = Future("page-wait")
+                continue
             hi = min(end, (page + n) * PAGE_SIZE)
             visit(lo, hi)
             lo = hi

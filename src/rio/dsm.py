@@ -12,8 +12,9 @@ peer's copy of the run or pushes the run's pages to it (update-push, used
 for frame streams).  Only the server pushes.
 
 Each side holds a region as one ``Region``: its pages (a ``ViewStore``),
-its DMA policy and each page's state.  ``usable_run`` counts the pages
-from one on that may be used now, with no state change.
+its DMA policy, each page's state and the runs it is fetching.  ``access``
+is the one way into a region: it counts the pages from one on that may be
+used now and, when there are none, starts or joins the first one's traffic.
 
 The node core is scheduler-free: ``access``/``handle`` make synchronous
 state transitions and emit outgoing messages through a callback, which
@@ -92,7 +93,8 @@ class ViewStore:
 
 class Region:
     """One region's pages on one side: where they are stored, the policy for
-    DMA into them, and the permission state of each."""
+    DMA into them, the permission state of each, and the fetches in flight,
+    one ``_Pending`` per run (runs never overlap)."""
 
     def __init__(self, region_id: int, length: int, store: ViewStore, policy: Policy,
                  initial: PageState) -> None:
@@ -101,6 +103,7 @@ class Region:
         self.policy = policy
         self.store = store
         self.states: list[PageState] = [initial] * self.npages
+        self.fetching: list[_Pending] = []
 
     def check_run(self, first_page: int, npages: int) -> None:
         """Raise ``DsmError`` unless both ends of the run lie in the region
@@ -129,12 +132,22 @@ class Region:
 
 @dataclass
 class _Pending:
-    """One fetch in flight, shared by every page of its run."""
+    """One fetch in flight: the run it asked for and who waits on it."""
 
     want_ownership: bool  # False on the two-step path; the retry claims separately
     first: int
     count: int
     waiters: list[Callable[[], None]] = field(default_factory=list)
+
+
+def _first_of(states: list[PageState], wanted: tuple, lo: int, hi: int) -> int:
+    """The first page in ``[lo, hi)`` whose state is in ``wanted``, else ``hi``."""
+    for state in wanted:
+        try:
+            hi = states.index(state, lo, hi)
+        except ValueError:
+            pass  # no such page before ``hi``
+    return hi
 
 
 class DsmNode:
@@ -155,7 +168,6 @@ class DsmNode:
         self.send = send
         self.coalesce_fetch_own = coalesce_fetch_own
         self.regions: dict[int, Region] = {}
-        self._pending: dict[tuple[int, int], _Pending] = {}
         self.stats = {"fetches": 0, "invalidates_sent": 0, "pushes": 0, "installs": 0}
         self._handlers = {PageFetch: self._on_fetch, PageData: self._on_data,
                           PageInvalidate: self._on_invalidate,
@@ -169,12 +181,11 @@ class DsmNode:
         self.regions[region.region_id] = region
 
     def drop_region(self, region_id: int) -> None:
-        self.regions.pop(region_id, None)
-        for key in [k for k in self._pending if k[0] == region_id]:
-            pending = self._pending.pop(key)
-            waiters, pending.waiters = pending.waiters, []  # a run wakes once
-            for wake in waiters:
-                wake()
+        region = self.regions.pop(region_id, None)
+        if region is not None:
+            for run in region.fetching:
+                for wake in run.waiters:
+                    wake()
 
     def region(self, region_id: int) -> Region:
         try:
@@ -189,65 +200,46 @@ class DsmNode:
     # -- local access path ---------------------------------------------------
 
     def access(self, region_id: int, page: int, write: bool,
-               waiter: Optional[Callable[[], None]] = None, npages: int = 1) -> bool:
-        """Attempt a local page access.
+               waiter: Optional[Callable[[], None]] = None, npages: int = 1) -> int:
+        """How many of the ``npages`` pages from ``page`` may be used now, or 0
+        when the caller must wait.
 
-        Returns True when the access may proceed immediately.  Otherwise
-        coherence traffic was started (or is already in flight) and
-        ``waiter`` will be called once the page state changes; the caller
-        must then retry.  A read that goes on for ``npages`` pages fetches
-        the invalid pages after ``page`` with it, up to the first page that
-        is held or already in flight.
+        A write to a read-only ``page`` claims it first: it becomes
+        read-write and the peer's copy is revoked.  The count stops at the
+        first page that is invalid (or read-only, for a write), at the
+        region's end, and at the next run in flight.  When it is 0,
+        coherence traffic was started (or is already in flight) for
+        ``page`` and ``waiter`` will be called once it lands; the caller
+        must then retry.  A write fetches one page, with ownership folded
+        in; a read fetches every page up to the first one held.
         """
         region = self.region(region_id)
         state = region.get(page)  # DsmError outside the region
-        pending = self._pending.get((region_id, page))
-        if pending is not None:
-            if waiter is not None:
-                pending.waiters.append(waiter)
-            return False
-        if state == READ_WRITE or (state == READ_ONLY and not write):
-            return True
-        if state == READ_ONLY:
-            # A write: claim ownership, revoke the peer's copy, take read-write.
-            region.set_range(page, 1, READ_WRITE)
+        limit = min(page + max(npages, 1), region.npages)
+        for run in region.fetching:
+            if run.first <= page < run.first + run.count:
+                if waiter is not None:
+                    run.waiters.append(waiter)
+                return 0
+            if page < run.first < limit:
+                limit = run.first
+        states = region.states
+        if write and state == READ_ONLY:
+            # Claim ownership, revoke the peer's copy, take read-write.
+            states[page] = READ_WRITE
             self.stats["invalidates_sent"] += 1
             self.send(PageInvalidate(region_id, page))
-            return True
+        end = _first_of(states, (INVALID, READ_ONLY) if write else (INVALID,), page, limit)
+        if end > page:
+            return end - page
         # Invalid: fetch, optionally with ownership folded in.
         want_own = write and self.coalesce_fetch_own
-        end = page + 1
-        if not write:
-            states, pending_keys = region.states, self._pending
-            stop = min(page + npages, region.npages)
-            while end < stop and states[end] == INVALID and (region_id, end) not in pending_keys:
-                end += 1
-        pending = _Pending(want_own, page, end - page)
-        if waiter is not None:
-            pending.waiters.append(waiter)
-        for run_page in range(page, end):
-            self._pending[(region_id, run_page)] = pending
+        end = page + 1 if write else _first_of(states, (READ_ONLY, READ_WRITE), page + 1, limit)
+        region.fetching.append(_Pending(want_own, page, end - page,
+                                       [waiter] if waiter is not None else []))
         self.stats["fetches"] += 1
         self.send(PageFetch(region_id, page, want_own, end - page))
-        return False
-
-    def usable_run(self, region_id: int, first: int, n: int, write: bool = False) -> int:
-        """How many of the ``n`` pages from ``first`` may be used now, with no
-        state change: counted up to the first page that is invalid, not
-        read-write for a write, or has a fetch in flight."""
-        region = self.region(region_id)
-        region.check_run(first, n)  # DsmError outside the region
-        states, end = region.states, first + n
-        for unusable in (INVALID, READ_ONLY) if write else (INVALID,):
-            try:
-                end = states.index(unusable, first, end)
-            except ValueError:
-                pass  # no such page in the run
-        if self._pending:
-            for page in range(first, end):
-                if (region_id, page) in self._pending:
-                    return page - first
-        return end - first
+        return 0
 
     # -- incoming coherence traffic -------------------------------------------
 
@@ -292,16 +284,15 @@ class DsmNode:
         self.stats["installs"] += count
 
     def _on_data(self, body: PageData) -> None:
-        region_id, first = body.region, body.page
+        region, first = self.region(body.region), body.page
         count = sum(map(len, body.data)) // PAGE_SIZE  # ``_install`` refuses a part page
-        pending = self._pending.get((region_id, first))
-        if pending is None or pending.first != first or pending.count != count:
+        run = next((run for run in region.fetching if run.first == first), None)
+        if run is None or run.count != count:
             raise ProtocolFault(f"data for {count} pages from page {first} of region "
-                                f"{region_id} is not the run of a fetch in flight")
-        self._install(body, READ_WRITE if pending.want_ownership else READ_ONLY)
-        for page in range(first, first + count):
-            del self._pending[(region_id, page)]
-        for wake in pending.waiters:
+                                f"{body.region} is not the run of a fetch in flight")
+        self._install(body, READ_WRITE if run.want_ownership else READ_ONLY)
+        region.fetching.remove(run)
+        for wake in run.waiters:
             wake()
 
     def _on_invalidate(self, body: PageInvalidate) -> None:
@@ -351,5 +342,5 @@ class DsmNode:
     # -- helpers ----------------------------------------------------------------
 
     def quiescent(self) -> bool:
-        return not self._pending
+        return not any(region.fetching for region in self.regions.values())
 

@@ -43,6 +43,8 @@ from .wire import (
     FileOp,
     FileOpRequest,
     FileOpResponse,
+    HEARTBEAT_INTERVAL_MS,
+    HEARTBEAT_TIMEOUT_MS,
     HeartbeatAck,
     Kind,
     Message,
@@ -91,8 +93,9 @@ class Server:
         # Keyed by (endpoint, session id): clients number their sessions
         # independently, so the id alone is unique only per endpoint.
         self.sessions: dict[tuple[Endpoint, int], ServerSession] = {}
-        # Keys of sessions torn down, which stay down even on a fresh channel.
-        self.torn_down: deque[tuple[Endpoint, int]] = deque(maxlen=OP_LOG_MAX)
+        # Each endpoint's highest torn-down session id: clients number sessions
+        # upward, so one at or below it stays down, even on a fresh channel.
+        self.torn_down: dict[Endpoint, int] = {}
         self.stats = ServerStats()
 
     def attach(self, endpoint: Endpoint) -> None:
@@ -105,6 +108,7 @@ class Server:
             for (ep, _), session in list(self.sessions.items()):
                 if ep is endpoint:
                     session.cleanup(CAUSE_LINK_DOWN)
+            self.torn_down.pop(endpoint, None)
             if then is not None:
                 then()
 
@@ -116,7 +120,7 @@ class Server:
         if session is None:
             # A session's first frame on each channel has seq 0; a later
             # frame, or any frame of a session torn down, opens nothing.
-            if msg.seq or key in self.torn_down:
+            if msg.seq or msg.session_id <= self.torn_down.get(endpoint, -1):
                 log.debug("session %d: frame after teardown dropped", msg.session_id)
                 return
             session = self.sessions[key] = ServerSession(self, msg.session_id, endpoint)
@@ -367,11 +371,10 @@ class ServerSession(Peer):
     # -- liveness and cleanup ------------------------------------------------------
 
     async def _watch_liveness(self) -> None:
-        interval = self.config.heartbeat_interval_ms
         while self.live:
-            await self.kernel.sleep(interval)
+            await self.kernel.sleep(HEARTBEAT_INTERVAL_MS)
             silent = self.kernel.now() - self.last_heartbeat
-            if silent > self.config.timeout_ms:
+            if silent > HEARTBEAT_TIMEOUT_MS:
                 log.info("session %d: silent for %.0f ms, cleaning up",
                          self.session_id, silent)
                 self.cleanup(CAUSE_HEARTBEAT_TIMEOUT)
@@ -383,7 +386,8 @@ class ServerSession(Peer):
             return
         self.live = False
         self.server.stats.cleanups.append((self.session_id, cause))
-        self.server.torn_down.append((self.endpoint, self.session_id))
+        torn_down = self.server.torn_down
+        torn_down[self.endpoint] = max(torn_down.get(self.endpoint, 0), self.session_id)
         for task in list(self.workers):
             task.cancel()
         self._watchdog.cancel()

@@ -460,19 +460,15 @@ def decode_body(msg: Message):
 # ---------------------------------------------------------------------------
 
 
-HEARTBEAT_MISS_LIMIT = 3  # silent heartbeat intervals before a peer is declared gone
+HEARTBEAT_INTERVAL_MS = 500.0  # each side's heartbeat cadence
+HEARTBEAT_TIMEOUT_MS = 3 * HEARTBEAT_INTERVAL_MS  # silence after which a peer is declared gone
 
 
 @dataclass
 class SessionConfig:
-    """Settings both stubs share: heartbeat cadence and copy optimization."""
+    """Settings both stubs share: copy optimization."""
 
-    heartbeat_interval_ms: float = 500.0
     optimize: bool = True
-
-    @property
-    def timeout_ms(self) -> float:
-        return self.heartbeat_interval_ms * HEARTBEAT_MISS_LIMIT
 
 
 class Peer:

@@ -133,8 +133,8 @@ class ModelWorld:
     def _node_key(self, side: str) -> tuple:
         node = self.nodes[side]
         return (tuple(node.region(1).states), tuple(self.stores[side].tags),
-                tuple(sorted((k[1], v.want_ownership, v.first, v.count)
-                             for k, v in node._pending.items())))
+                tuple(sorted((run.first, run.count, run.want_ownership)
+                             for run in node.region(1).fetching)))
 
     def key(self) -> tuple:
         parts = []
@@ -160,12 +160,9 @@ class ModelWorld:
             src = self.nodes[side].region(1)
             dst = fresh.nodes[side].region(1)
             dst.states[:] = src.states
-            runs: dict[int, _Pending] = {}  # one shared record per run, as in the node
-            for k, v in self.nodes[side]._pending.items():
-                if id(v) not in runs:
-                    runs[id(v)] = _Pending(v.want_ownership, v.first, v.count,
-                                           waiters=[fresh._waker(side)])
-                fresh.nodes[side]._pending[k] = runs[id(v)]
+            dst.fetching[:] = [_Pending(run.want_ownership, run.first, run.count,
+                                        waiters=[fresh._waker(side)])
+                               for run in src.fetching]
         return fresh
 
     def _waker(self, side: str):
@@ -210,9 +207,9 @@ class ModelWorld:
         if not self.hostile:
             node.handle(body)
             return
-        pending = node._pending.get((1, body.page)) if isinstance(body, PageData) else None
-        exact_run = pending is not None and (pending.first, pending.count) == (
-            body.page, len(b"".join(body.data)) // PAGE_SIZE)
+        count = len(b"".join(body.data)) // PAGE_SIZE if isinstance(body, PageData) else None
+        exact_run = any((run.first, run.count) == (body.page, count)
+                        for run in node.region(1).fetching)
         before = self._node_key(side)
         try:
             node.handle(body)

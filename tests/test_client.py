@@ -19,9 +19,10 @@ from rio.devices import (
 )
 from rio.dsm import PageState, Policy
 from rio.errors import DisconnectedError
+from rio.kernel import Future
 from rio.memory import PAGE_SIZE
 from rio.testbed import SimWorld
-from rio.wire import LinkConfig, PageFetch
+from rio.wire import HEARTBEAT_INTERVAL_MS, LinkConfig, PageFetch
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +249,7 @@ def test_disconnect_declared_about_three_intervals_after_last_ack():
         return world.now() - cut_at
 
     lag = world.run(main())
-    interval = world.client.config.heartbeat_interval_ms
-    assert 2 * interval <= lag <= 4.2 * interval
+    assert 2 * HEARTBEAT_INTERVAL_MS <= lag <= 4.2 * HEARTBEAT_INTERVAL_MS
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +336,29 @@ def test_page_read_under_update_push_costs_no_fetch():
     got, fetches = world.run(main())
     assert fetches == 0  # the batch already arrived with the dequeue
     assert got == frame_pattern(0, 614_400)
+
+
+@pytest.mark.parametrize("policy,results", [(Policy.UPDATE_PUSH, [150]),
+                                            (Policy.INVALIDATE, [0, 150])],
+                         ids=["update_push", "invalidate"])
+def test_a_whole_frame_read_is_one_access_call_per_run(policy, results):
+    world = SimWorld(link="lan", dsm_policy=policy)
+    got = []
+
+    async def main():
+        handle, region = await _setup_frames(world)()
+        assert await handle.ioctl(FRAME_DQ) == 0
+        access = world.session.dsm.access
+
+        def recording_access(*args):
+            got.append(access(*args))
+            return got[-1]
+
+        world.session.dsm.access = recording_access
+        return await region.page_read(region.base, 614_400)
+
+    assert world.run(main()) == frame_pattern(0, 614_400)
+    assert got == results
 
 
 def test_global_buffer_readthrough_after_capture():
@@ -725,12 +748,21 @@ def _page_spans(region, addr, length):
         pos += take
 
 
+async def _acquire(region, page, write):
+    """Retry ``access`` on one page until it may be used."""
+    while True:
+        fut = Future("page-wait")
+        if region.session.dsm.access(region.region_id, page, write, fut.set_result):
+            return
+        await fut
+
+
 async def _per_page_read(region, addr, length):
     """The reference read: each page acquired on its own, then read alone."""
     session = region.session
     parts = []
     for page, pos, take in _page_spans(region, addr, length):
-        await session._acquire_page(region.region_id, page, False)
+        await _acquire(region, page, False)
         parts.append(session.client.arena.read(pos, take))
     return b"".join(parts)
 
@@ -747,7 +779,7 @@ async def _per_page_write(region, addr, length):
     written alone through the arena."""
     session, data = region.session, MIXED_WRITE[:length]
     for page, pos, take in _page_spans(region, addr, length):
-        await session._acquire_page(region.region_id, page, True)
+        await _acquire(region, page, True)
         session.client.arena.write(pos, data[pos - addr : pos - addr + take])
 
 
@@ -805,7 +837,8 @@ def _over_mixed_pages(policy, prepare, access):
         dsm = world.session.dsm
         client_states = dsm.region(region.region_id).states
         assert client_states[:7] == states
-        assert set(dsm._pending) == {(region.region_id, 5)}
+        fetching = dsm.region(region.region_id).fetching
+        assert [(run.first, run.count) for run in fetching] == [(5, 1)]
         server_dsm = next(iter(world.server.sessions.values())).dsm
         record(dsm)
         record(server_dsm)

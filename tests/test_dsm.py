@@ -174,7 +174,7 @@ def test_a_read_fetches_its_whole_run_in_one_exchange_and_a_run_past_the_region_
     (reply,) = pair.to_client
     assert (reply.page, len(b"".join(reply.data))) == (0, npages * PAGE_SIZE)
     pair.pump()
-    assert pair.client.usable_run(1, 0, npages) == npages
+    assert pair.client.access(1, 0, False, npages=npages) == npages
     assert pair.client_buf == pair.server_buf
     # A run that goes past the region's end changes nothing and sends nothing.
     before = list(pair.server.region(1).states)
@@ -345,14 +345,13 @@ def test_tracker_rejects_pages_outside_the_region_at_either_end():
     assert region.states == [RW] * npages
 
 
-# (entry point, page, extra arguments): one page before the region, one
-# past its end, and a run that starts inside and ends past it.
+# (entry point, page, extra arguments): one page before the region and one
+# past its end.
 OUTSIDE_CALLS = [
     (entry, page, extra)
-    for entry, extra in (("access", (False,)), ("access", (True,)), ("usable_run", (1, True)),
-                         ("usable_run", (1,)))
+    for entry, extra in (("access", (False,)), ("access", (True,)))
     for page in (-1, 4)
-] + [("usable_run", 3, (2,)), ("usable_run", 0, (5,))]
+]
 
 
 @pytest.mark.parametrize("entry,page,extra", OUTSIDE_CALLS,
@@ -361,12 +360,12 @@ def test_entry_points_reject_pages_outside_the_region(entry, page, extra):
     pair = Pair(npages=4)
     assert not pair.client.access(1, 1, False, npages=2)  # a run in flight
     (fetch,) = pair.to_server
-    pending = dict(pair.client._pending)
+    fetching = list(pair.client.region(1).fetching)
     states = list(pair.client.region(1).states)
     with pytest.raises(DsmError):
         getattr(pair.client, entry)(1, page, *extra)
     assert pair.client.region(1).states == states
-    assert pair.client._pending == pending
+    assert pair.client.region(1).fetching == fetching
     assert list(pair.to_server) == [fetch]
 
 

@@ -32,6 +32,8 @@ from rio.wire import (
     FileOp,
     FileOpRequest,
     FileOpResponse,
+    HEARTBEAT_INTERVAL_MS,
+    HEARTBEAT_TIMEOUT_MS,
     Heartbeat,
     HeartbeatAck,
     Kind,
@@ -278,8 +280,7 @@ def test_server_cleans_up_after_heartbeat_silence():
         return handle
 
     world.run(main())
-    timeout = world.server.config.timeout_ms
-    world.kernel.run_until(100 + timeout + world.server.config.heartbeat_interval_ms + 100)
+    world.kernel.run_until(100 + HEARTBEAT_TIMEOUT_MS + HEARTBEAT_INTERVAL_MS + 100)
     assert world.server.stats.cleanups
     assert world.server.stats.cleanups[0][1] == "HeartbeatTimeout"
     assert all(v == 0 for v in world.census().values())
@@ -307,7 +308,7 @@ def test_cleanup_runs_close_map_before_releases():
         world.cut_link()
 
     world.run(main())
-    world.kernel.run_until(60 + world.server.config.timeout_ms + 600)
+    world.kernel.run_until(60 + HEARTBEAT_TIMEOUT_MS + 600)
     names = [op for op, _ in shared_log if op in ("close_map", "release")]
     assert names == ["close_map", "release", "release"]
     assert all(v == 0 for v in world.census().values())
@@ -343,7 +344,7 @@ def test_disconnect_during_blocking_poll_then_fresh_open():
         return handle
 
     world.run(main())
-    world.kernel.run_until(world.now() + world.server.config.timeout_ms + 600)
+    world.kernel.run_until(world.now() + HEARTBEAT_TIMEOUT_MS + 600)
     assert all(v == 0 for v in world.census().values())
     session = world.new_session()
 
@@ -611,6 +612,21 @@ def test_a_session_torn_down_by_its_first_frame_stays_down_on_a_fresh_channel():
     # Nothing of the hostile session is left; the world's own session holds nothing.
     census = world.census()
     assert census == {**dict.fromkeys(census, 0), "sessions": 1}
+
+
+def test_a_session_torn_down_stays_down_past_op_log_max_later_teardowns():
+    world = SimWorld(link="lan")
+    link = SimulatedLink(world.kernel, link_preset("lan"), rng=world.rng)
+    world.server.attach(link.b)
+    sessions = OP_LOG_MAX + 1
+    for sid in range(1, sessions + 1):  # each torn down by its first frame
+        link.a.send(Message(sid, 0, Channel.COHERENCE, Kind.PAGE_FETCH,
+                            encode_body(PageFetch(77, 0))))
+    world.advance(50)
+    assert len(world.server.stats.cleanups) == OP_LOG_MAX
+    link.a.send(Message(1, 0, Channel.HEARTBEAT, Kind.HEARTBEAT, encode_body(Heartbeat())))
+    world.advance(50)
+    assert [sid for _, sid in world.server.sessions] == [world.session.session_id]
 
 
 @pytest.mark.parametrize("make_body", _FOREIGN_COHERENCE.values(), ids=_FOREIGN_COHERENCE)
